@@ -25,7 +25,7 @@ import numpy as np
 
 from .cchannel import RicianParams
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
-from .sweeps import SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep
+from .sweeps import SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep, write_csv
 from .turbo import TurboConfig
 
 EXIT_OK = 0
@@ -124,7 +124,8 @@ def build_parser() -> _Parser:
     _add_common(p_sweep)
     p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default=None)
     p_sweep.add_argument("--snr-grid", dest="snr_grid_db", default=None,
-                         help="comma list of Es/N0 points in dB")
+                         help="comma list of Es/N0 points in dB "
+                              "(write --snr-grid=-2,0 when the list starts negative)")
     p_sweep.add_argument("--p-eq", dest="p_eq_list", default=None,
                          help="comma list of channel error probabilities")
     p_sweep.add_argument("--use-shor", action="store_true", dest="use_shor")
@@ -225,9 +226,8 @@ def _spec_from_args(args, kind: str, use_shor_default: bool = False) -> SweepSpe
     )
 
 
-def _cmd_sweep(args) -> int:
-    kind = _get(args, "kind", str, "qber_vs_snr")
-    spec = _spec_from_args(args, kind)
+def _emit_sweep(spec: SweepSpec) -> int:
+    """Run a curve sweep; print its CSV unless run_sweep wrote it to a file."""
     rows = run_sweep(spec)
     if not spec.output_path:
         sys.stdout.write(render_csv(spec, rows))
@@ -236,9 +236,13 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _cmd_sweep(args) -> int:
+    return _emit_sweep(_spec_from_args(args, _get(args, "kind", str, "qber_vs_snr")))
+
+
 def _run_traced_sessions(spec: SweepSpec, trace_path: str) -> list[dict]:
-    from .qsdc import resolve_threshold, run_session
-    from .sweeps import _session_cfg, session_payload, session_row
+    from .qsdc import resolve_threshold
+    from .sweeps import _session_cfg, run_session_row
 
     cfg = _session_cfg(spec, spec.p_eq_list[0], spec.snr_grid_db[0])
     threshold = resolve_threshold(cfg)
@@ -247,13 +251,10 @@ def _run_traced_sessions(spec: SweepSpec, trace_path: str) -> list[dict]:
         with open(trace_path, "w", encoding="utf-8") as fh:
             fh.write("# session attempt kind pair bit_a bit_b ok\n")
             for sid in range(spec.trials_per_point):
-                report = run_session(
-                    cfg, session_id=sid, payload=session_payload(spec, sid),
-                    collect_trace=True,
-                )
+                report, row = run_session_row(spec, cfg, sid, threshold, collect_trace=True)
                 for attempt, kind, pos, b1, b2, ok in report.pair_trace:
                     fh.write(f"{sid} {attempt} {kind} {pos} {b1} {b2} {ok}\n")
-                rows.append(session_row(spec, sid, report, threshold))
+                rows.append(row)
     except OSError as exc:
         raise SweepIOError(str(exc)) from exc
     return rows
@@ -267,10 +268,7 @@ def _cmd_qsdc(args) -> int:
     if trace_path:
         rows = _run_traced_sessions(spec, trace_path)
         if spec.output_path:
-            from .sweeps import render_csv as _render
-
-            with open(spec.output_path, "w", encoding="utf-8") as fh:
-                fh.write(_render(spec, rows))
+            write_csv(spec, rows)
     else:
         rows = run_sweep(spec)
     n_abort = sum(1 for r in rows if r["decision"] == "abort")
@@ -321,13 +319,7 @@ def _cmd_shor_curve(args) -> int:
         args.p_eq_list = "0.001,0.002,0.005,0.01,0.02,0.05,0.105,0.15,0.2"
     if getattr(args, "trials", None) is None:
         args.trials = 1_000_000
-    spec = _spec_from_args(args, "shor_curve")
-    rows = run_sweep(spec)
-    if not spec.output_path:
-        sys.stdout.write(render_csv(spec, rows))
-    else:
-        print(f"wrote {len(rows)} rows to {spec.output_path}")
-    return EXIT_OK
+    return _emit_sweep(_spec_from_args(args, "shor_curve"))
 
 
 def _cmd_selftest(args) -> int:

@@ -13,6 +13,13 @@ Session flow (one attempt):
      pairs, with the measurement bits protected by the Turbo/QPSK/Rician
      classical chain.
 
+Every quantum step (Bell preparation, Shor encoding and decoding, Pauli
+noise, the swap attack, teleportation) is Clifford, so each pair is
+simulated exactly as a Bell frame: the (phase_bit, parity_bit) of its Bell
+state (``qstate.BellKind``).  A residual X on the receiver's half flips the
+parity bit, a residual Z the phase bit.  The state-vector circuits in
+``shor``, ``qchannel`` and ``teleport`` are the test oracles of this path.
+
 The position/result comparison channel for virtual pairs is modeled as
 out-of-band and error-free, so detection statistics are not conflated with
 classical-channel noise.  Aborted sessions can never reach the payload
@@ -24,38 +31,19 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .cchannel import RicianParams
 from .link import send_bits
-from .qchannel import (
-    DepolarizingParams,
-    EveModel,
-    NO_EVE,
-    depolarize_qubit,
-    effective_params,
-    eve_entanglement_swap,
-)
-from .qstate import (
-    PHI_PLUS,
-    PSI_PLUS,
-    StateVector,
-    fidelity,
-    make_bell,
-    measure_qubit,
-    tensor,
-)
-from .shor import exact_logical_rate, shor_decode, shor_encode
-from .teleport import (
-    ERROR_FIDELITY_TOL,
-    BellOutcome,
-    receiver_correct,
-    sender_measure,
-)
+from .qchannel import DepolarizingParams, EveModel, NO_EVE, effective_params
+from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
+from .shor import exact_logical_rate, transit_flags
+from .teleport import frame_teleport_exact
 from .turbo import TurboConfig
 
-PHASES = ("distributed", "encoded", "transmitted", "decoded", "verified", "aborted", "completed")
+PHASES = ("distributed", "decoded", "verified", "aborted", "completed")
 
 
 class ProtocolError(RuntimeError):
@@ -95,14 +83,28 @@ class QsdcConfig:
             )
 
 
+@lru_cache(maxsize=4)
+def _bell_state(phase_bit: int, parity_bit: int) -> StateVector:
+    return make_bell(BellKind(phase_bit, parity_bit))
+
+
 @dataclass
 class SessionState:
-    pair_states: list[StateVector]
+    phase_bits: np.ndarray  # Bell frame of pair i: (phase_bits[i], parity_bits[i])
+    parity_bits: np.ndarray
     virtual_positions: frozenset[int]
     phase: str = "distributed"
     virtual_qber: float | None = None
     decision: str | None = None
     pair_trace: list[tuple] = field(default_factory=list)
+
+    @property
+    def pair_states(self) -> tuple[StateVector, ...]:
+        """The pairs as state vectors, built from their frames on each access."""
+        return tuple(
+            _bell_state(phase, parity)
+            for phase, parity in zip(self.phase_bits.tolist(), self.parity_bits.tolist())
+        )
 
     def require_phase(self, expected: str) -> None:
         if self.phase != expected:
@@ -128,27 +130,14 @@ class QsdcReport:
 def distribute_pairs(cfg: QsdcConfig, rng) -> SessionState:
     """Create n real + m virtual pairs, decoys at rng-chosen secret slots."""
     total = cfg.n_pairs + cfg.m_virtual
-    positions = frozenset(
-        int(i) for i in rng.choice(total, size=cfg.m_virtual, replace=False)
+    chosen = rng.choice(total, size=cfg.m_virtual, replace=False)
+    is_virtual = np.zeros(total, dtype=bool)
+    is_virtual[chosen] = True
+    return SessionState(
+        phase_bits=np.where(is_virtual, PSI_PLUS.phase_bit, PHI_PLUS.phase_bit).astype(np.int8),
+        parity_bits=np.where(is_virtual, PSI_PLUS.parity_bit, PHI_PLUS.parity_bit).astype(np.int8),
+        virtual_positions=frozenset(chosen.tolist()),
     )
-    real = make_bell(PHI_PLUS)
-    virtual = make_bell(PSI_PLUS)
-    states = [virtual if i in positions else real for i in range(total)]
-    return SessionState(pair_states=states, virtual_positions=positions)
-
-
-def _transit_pair(pair: StateVector, cfg: QsdcConfig, channel: DepolarizingParams, rng):
-    """Send the receiver-bound half (qubit 1) of one pair through the channel."""
-    if cfg.use_shor:
-        state, block = shor_encode(pair, 1)
-        for pos in block.qubit_indices:
-            state, _ = depolarize_qubit(state, pos, channel, rng)
-        state, _ = shor_decode(state, block, rng)
-    else:
-        state, _ = depolarize_qubit(pair, 1, channel, rng)
-    if cfg.eve.mode == "swap" and rng.random() < cfg.eve.intercept_fraction:
-        state, _ = eve_entanglement_swap(state, rng)
-    return state
 
 
 def transmit_protected(state: SessionState, cfg: QsdcConfig, rng) -> SessionState:
@@ -157,9 +146,17 @@ def transmit_protected(state: SessionState, cfg: QsdcConfig, rng) -> SessionStat
     channel = cfg.depol
     if cfg.eve.mode == "depolarize_boost":
         channel = effective_params(cfg.depol, cfg.eve)
-    state.pair_states = [
-        _transit_pair(pair, cfg, channel, rng) for pair in state.pair_states
-    ]
+    n = len(state.phase_bits)
+    x, z = transit_flags(channel, rng, n, protected=cfg.use_shor)
+    phase, parity = state.phase_bits ^ z, state.parity_bits ^ x
+    if cfg.eve.mode == "swap":
+        # Eve's Bell measurement leaves an intercepted pair in a uniformly
+        # random Bell state, whatever state it arrived in.
+        hit = rng.random(n) < cfg.eve.intercept_fraction
+        frames = rng.integers(0, 2, size=(2, n), dtype=np.int8)
+        phase = np.where(hit, frames[0], phase)
+        parity = np.where(hit, frames[1], parity)
+    state.phase_bits, state.parity_bits = phase, parity
     state.phase = "decoded"
     return state
 
@@ -179,15 +176,19 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     sender then measures her halves and counts non-opposite outcomes.
     """
     state.require_phase("decoded")
-    disagreements = 0
-    for pos in sorted(state.virtual_positions):
-        pair = state.pair_states[pos]
-        bob = measure_qubit(pair, 1, rng)
-        alice = measure_qubit(bob.post_state, 0, rng)
-        opposite = alice.bit != bob.bit  # required for (|01>+|10>)/sqrt(2)
-        if not opposite:
-            disagreements += 1
-        state.pair_trace.append(("virtual", pos, alice.bit, bob.bit, int(opposite)))
+    positions = sorted(state.virtual_positions)
+    # The receiver's Z outcome is uniform; the sender's differs from it by
+    # the pair's parity bit.
+    bob = rng.integers(0, 2, size=len(positions), dtype=np.int8)
+    alice = bob ^ state.parity_bits[positions]
+    opposite = alice != bob  # required for (|01>+|10>)/sqrt(2)
+    disagreements = len(positions) - int(np.count_nonzero(opposite))
+    state.pair_trace.extend(
+        ("virtual", pos, a, b, ok)
+        for pos, a, b, ok in zip(
+            positions, alice.tolist(), bob.tolist(), opposite.astype(int).tolist()
+        )
+    )
     virtual_qber = disagreements / cfg.m_virtual
     threshold = resolve_threshold(cfg)
     decision = "accept" if virtual_qber <= threshold else "abort"
@@ -223,41 +224,29 @@ def teleport_payload(
         raise ProtocolError("aborted session cannot carry payload")
     state.require_phase("verified")
     real_positions = [
-        i for i in range(len(state.pair_states)) if i not in state.virtual_positions
+        i for i in range(len(state.phase_bits)) if i not in state.virtual_positions
     ]
     if len(payload) > len(real_positions):
         raise ValueError(
             f"payload of {len(payload)} exceeds {len(real_positions)} surviving pairs"
         )
 
-    sent_bits = np.empty(2 * len(payload), dtype=np.int8)
-    residuals = []
-    for i, psi in enumerate(payload):
-        pair = state.pair_states[real_positions[i]]
-        outcome, residual = sender_measure(tensor(psi, pair), rng)
-        sent_bits[2 * i] = outcome.m1
-        sent_bits[2 * i + 1] = outcome.m2
-        residuals.append(residual)
-
-    received_bits = _send_classical_bits(sent_bits, cfg, rng)
+    # The sender's Bell outcome is uniform whatever the pair and payload are.
+    sent_bits = rng.integers(0, 2, size=2 * len(payload), dtype=np.int8)
+    bit_errors = sent_bits ^ _send_classical_bits(sent_bits, cfg, rng)
+    used = real_positions[: len(payload)]
+    frames = zip(state.parity_bits[used].tolist(), state.phase_bits[used].tolist())
     n_errors = 0
-    for i, psi in enumerate(payload):
-        outcome = BellOutcome(int(received_bits[2 * i]), int(received_bits[2 * i + 1]))
-        corrected = receiver_correct(residuals[i], outcome)
-        exact = fidelity(corrected, psi) >= 1.0 - ERROR_FIDELITY_TOL
-        if not exact:
-            n_errors += 1
-        state.pair_trace.append(
-            ("payload", real_positions[i], int(sent_bits[2 * i]),
-             int(sent_bits[2 * i + 1]), int(exact))
-        )
+    for pos, psi, (m1, m2), error, (x, z) in zip(
+        used, payload, sent_bits.reshape(-1, 2).tolist(),
+        bit_errors.reshape(-1, 2).tolist(), frames,
+    ):
+        exact = frame_teleport_exact(psi, x, z, error)
+        n_errors += not exact
+        state.pair_trace.append(("payload", pos, m1, m2, int(exact)))
 
     payload_qber = n_errors / len(payload) if payload else 0.0
-    classical_ber = (
-        float(np.count_nonzero(sent_bits != received_bits)) / sent_bits.size
-        if sent_bits.size
-        else 0.0
-    )
+    classical_ber = float(bit_errors.mean()) if bit_errors.size else 0.0
     state.phase = "completed"
     return QsdcReport(
         virtual_qber=state.virtual_qber if state.virtual_qber is not None else 0.0,

@@ -2,8 +2,9 @@
 
 Covers the exact/trivial contracts of every layer: Bell-state amplitudes,
 gate involutions, noiseless teleportation, the channel sampling rule order,
-exhaustive weight-<=1 Shor correction, turbo round trips, QPSK mapping, and
-sweep determinism.  Statistical acceptance checks live in the test suite.
+exhaustive weight-<=1 Shor correction (state vector and Pauli frame), turbo
+round trips, QPSK mapping, and sweep determinism.  Statistical acceptance
+checks live in the test suite.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .cchannel import llrs_to_bits, qpsk_demodulate_soft, qpsk_modulate, transmit, RicianParams
 from .qchannel import DepolarizingParams, EveModel, NO_EVE, effective_params, sample_pauli
-from .qsdc import choose_threshold, geometric_threshold
+from .qsdc import QsdcConfig, SessionState, choose_threshold, geometric_threshold, transmit_protected
 from .qstate import (
     PHI_MINUS,
     PHI_PLUS,
@@ -33,13 +34,27 @@ from .turbo import TurboConfig, turbo_decode, turbo_encode
 
 
 class _ScriptedRng:
-    """Feeds a fixed uniform stream to code expecting rng.random()."""
+    """Feeds a fixed uniform stream to code expecting rng.random([n])."""
 
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self):
-        return self._values.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        drawn, self._values = self._values[:size], self._values[size:]
+        return np.array(drawn)
+
+
+def _weight_one_patterns() -> list[PauliPattern]:
+    """The clean pattern and all 27 single-position Pauli errors."""
+    patterns = [PauliPattern((PauliError.I,) * 9)]
+    for pos in range(9):
+        for err in (PauliError.X, PauliError.Y, PauliError.Z):
+            patterns.append(
+                PauliPattern(tuple(err if k == pos else PauliError.I for k in range(9)))
+            )
+    return patterns
 
 
 def _checks():
@@ -84,13 +99,9 @@ def _checks():
 
     def shor_weight_one():
         psi = random_state(1, rng)
-        for pos in range(9):
-            for err in (PauliError.X, PauliError.Y, PauliError.Z):
-                pattern = PauliPattern(
-                    tuple(err if k == pos else PauliError.I for k in range(9))
-                )
-                if classify_pattern(pattern).logical_error is not PauliError.I:
-                    return False
+        for pattern in _weight_one_patterns():
+            if classify_pattern(pattern).logical_error is not PauliError.I:
+                return False
         encoded, block = shor_encode(psi, 0)
         corrupted = apply_pattern(
             encoded,
@@ -99,6 +110,23 @@ def _checks():
         )
         decoded, _ = shor_decode(corrupted, block, rng)
         return fidelity(decoded, psi) > 1 - 1e-9
+
+    def frame_transit_weight_one():
+        patterns = _weight_one_patterns()
+        # uniforms that the P_eq = 0.3 sampler maps onto each Pauli
+        uniform = {PauliError.X: 0.05, PauliError.Z: 0.15, PauliError.Y: 0.25,
+                   PauliError.I: 0.65}
+        stream = _ScriptedRng([uniform[e] for p in patterns for e in p.errors])
+        clean = np.zeros(len(patterns), dtype=np.int8)  # every pair in PHI_PLUS
+        cfg = QsdcConfig(n_pairs=len(patterns), depol=DepolarizingParams.from_total(0.3))
+        session = SessionState(clean, clean, frozenset())
+        pairs = transmit_protected(session, cfg, stream).pair_states
+        encoded, block = shor_encode(make_bell(PHI_PLUS), 1)
+        return len(pairs) == len(patterns) and all(
+            fidelity(shor_decode(apply_pattern(encoded, block, p), block, rng)[0], pair)
+            > 1 - 1e-9
+            for p, pair in zip(patterns, pairs)
+        )
 
     def turbo_roundtrip():
         cfg = TurboConfig(block_length=256, iterations=4)
@@ -145,6 +173,8 @@ def _checks():
         ("a flipped classical bit corrupts the payload", teleport_wrong_bit),
         ("channel sampler follows the X/Z/Y/I rule order", sampling_rule_order),
         ("all weight-1 Pauli errors decode cleanly", shor_weight_one),
+        ("Pauli-frame transit matches the state-vector Shor round trip",
+         frame_transit_weight_one),
         ("turbo decode inverts encode on clean LLRs", turbo_roundtrip),
         ("QPSK demod inverts modulation on a clean link", qpsk_roundtrip),
         ("eavesdropper boost adds 0.10 to the channel", boost_params),

@@ -222,6 +222,21 @@ def _logical_flags(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return logical_x, logical_z
 
 
+def transit_flags(
+    params: DepolarizingParams, rng, n: int, protected: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual (x, z) Pauli flags on ``n`` qubits that crossed the channel.
+
+    Protected qubits are Shor blocks: one draw of 9n physical flags, decoded
+    symbolically to the logical residual.  Unprotected qubits take one
+    physical draw each.
+    """
+    if not protected:
+        return sample_pauli_flags(params, rng, n)
+    x_flip, z_flip = sample_pauli_flags(params, rng, 9 * n)
+    return _logical_flags(x_flip.reshape(n, 9), z_flip.reshape(n, 9))
+
+
 def pauli_frame_batch(params: DepolarizingParams, rng, n_trials: int) -> int:
     """Count logical errors over ``n_trials`` sampled patterns (fast path)."""
     total = 0
@@ -229,10 +244,7 @@ def pauli_frame_batch(params: DepolarizingParams, rng, n_trials: int) -> int:
     done = 0
     while done < n_trials:
         n = min(chunk, n_trials - done)
-        x_flip, z_flip = sample_pauli_flags(params, rng, 9 * n)
-        xs = x_flip.reshape(n, 9)
-        zs = z_flip.reshape(n, 9)
-        lx, lz = _logical_flags(xs, zs)
+        lx, lz = transit_flags(params, rng, n)
         total += int(np.count_nonzero(lx | lz))
         done += n
     return total

@@ -24,29 +24,23 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .cchannel import RicianParams
 from .link import send_bits
 from .metrics import MetricAccumulator
-from .qchannel import (
-    DepolarizingParams,
-    EveModel,
-    NO_EVE,
-    depolarize_qubit,
-    sample_pauli_flags,
-)
+from .qchannel import DepolarizingParams, EveModel, NO_EVE
 from .qsdc import QsdcConfig, resolve_threshold, run_session
-from .qstate import PHI_PLUS, fidelity, make_bell, random_state, tensor
-from .shor import axis_params, exact_logical_rate, pauli_frame_batch, shor_decode, shor_encode
+from .qstate import PHI_PLUS, apply_gate, apply_pauli, basis_state, make_bell, random_state
+from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
 from .teleport import (
     DEFAULT_TEST_STATE,
     ERROR_FIDELITY_TOL,
+    PAULI_FROM_FLAGS,
     BellOutcome,
     receiver_correct,
-    sender_measure,
 )
 from .turbo import TurboConfig
 
@@ -69,7 +63,6 @@ SESSION_COLUMNS = [
 UNCODED_CHUNK_BITS = 1 << 17
 CODED_CHUNK_BLOCKS = 128
 QBER_CHUNK_TRIALS = 1 << 16
-SHOR_QBER_CHUNK_TRIALS = 1 << 12
 SHOR_CHUNK_TRIALS = 1 << 20
 SESSION_CHUNK = 8
 
@@ -200,28 +193,15 @@ def _teleport_tables():
     from apply_pauli on a Bell pair, the sender unitary from apply_gate, the
     correction matrices from receiver_correct.
     """
-    from .qstate import PauliError, basis_state
-
-    pair_for_flags = {}
-    pauli_for_flags = {
-        (0, 0): PauliError.I, (1, 0): PauliError.X,
-        (0, 1): PauliError.Z, (1, 1): PauliError.Y,
-    }
     clean = make_bell(PHI_PLUS)
-    from .qstate import apply_pauli
-
-    for flags, pauli in pauli_for_flags.items():
-        pair_for_flags[flags] = apply_pauli(clean, 1, pauli).amplitudes
     pair_stack = np.stack(
-        [pair_for_flags[(0, 0)], pair_for_flags[(1, 0)],
-         pair_for_flags[(0, 1)], pair_for_flags[(1, 1)]]
+        [apply_pauli(clean, 1, PAULI_FROM_FLAGS[(x, z)]).amplitudes
+         for z in (0, 1) for x in (0, 1)]
     )  # indexed by x + 2*z
-
-    from .qstate import apply_gate as _ag
 
     sender = np.empty((8, 8), dtype=complex)
     for i in range(8):
-        col = _ag(_ag(basis_state(3, i), "CNOT", (0, 1)), "H", 0)
+        col = apply_gate(apply_gate(basis_state(3, i), "CNOT", (0, 1)), "H", 0)
         sender[:, i] = col.amplitudes
 
     corrections = np.empty((4, 2, 2), dtype=complex)
@@ -234,11 +214,13 @@ def _teleport_tables():
     return pair_stack, sender, corrections
 
 
-def _teleport_batch(spec: SweepSpec, p_eq: float, snr_db: float, rng, n_trials: int):
-    """Vectorized teleport trials (exact Born sampling, stacked amplitudes)."""
+def _teleport_batch(spec: SweepSpec, snr_db: float, rng, x_flip, z_flip):
+    """Vectorized teleport trials over pairs with the given (x, z) frame flags.
+
+    Exact Born sampling on stacked amplitudes, one trial per flag.
+    """
     pair_stack, sender, corrections = _teleport_tables()
-    params = DepolarizingParams.from_total(p_eq)
-    x_flip, z_flip = sample_pauli_flags(params, rng, n_trials)
+    n_trials = len(x_flip)
     pair_idx = x_flip.astype(np.int8) + 2 * z_flip.astype(np.int8)
     pairs = pair_stack[pair_idx]  # (N, 4)
 
@@ -281,54 +263,23 @@ def _teleport_batch(spec: SweepSpec, p_eq: float, snr_db: float, rng, n_trials: 
 def _qber_chunk(job) -> tuple[int, int, int, int]:
     spec, snr_db, p_eq, i_snr, i_p, chunk_idx, n_trials = job
     rng = _rng_for(spec, i_snr, i_p, chunk_idx)
-    if not spec.use_shor:
-        return _teleport_batch(spec, p_eq, snr_db, rng, n_trials)
-
-    # Shor-protected pairs: full state-vector transit per trial.
-    depol = DepolarizingParams.from_total(p_eq)
-    clean_pair = make_bell(PHI_PLUS)
-    psis = []
-    residuals = []
-    bits = np.empty(2 * n_trials, dtype=np.int8)
-    for t in range(n_trials):
-        psi = random_state(1, rng) if spec.random_payload else DEFAULT_TEST_STATE
-        state, block = shor_encode(clean_pair, 1)
-        for pos in block.qubit_indices:
-            state, _ = depolarize_qubit(state, pos, depol, rng)
-        pair, _ = shor_decode(state, block, rng)
-        outcome, residual = sender_measure(tensor(psi, pair), rng)
-        bits[2 * t] = outcome.m1
-        bits[2 * t + 1] = outcome.m2
-        psis.append(psi)
-        residuals.append(residual)
-
-    received = send_bits(
-        bits, rng, snr_db=snr_db, rician=spec.rician,
-        turbo_cfg=spec.turbo if spec.use_turbo else None,
-        bypass_ber=spec.classical_bypass_ber, coherence=spec.coherence,
+    x_flip, z_flip = transit_flags(
+        DepolarizingParams.from_total(p_eq), rng, n_trials, protected=spec.use_shor
     )
-    qubit_errors = 0
-    for t in range(n_trials):
-        outcome = BellOutcome(int(received[2 * t]), int(received[2 * t + 1]))
-        corrected = receiver_correct(residuals[t], outcome)
-        if fidelity(corrected, psis[t]) < 1.0 - ERROR_FIDELITY_TOL:
-            qubit_errors += 1
-    bit_errors = int(np.count_nonzero(bits != received))
-    return qubit_errors, n_trials, bit_errors, 2 * n_trials
+    return _teleport_batch(spec, snr_db, rng, x_flip, z_flip)
 
 
-def _qber_point(spec: SweepSpec, snr_db: float, p_eq: float, i_snr: int, i_p: int) -> dict:
-    chunk = SHOR_QBER_CHUNK_TRIALS if spec.use_shor else QBER_CHUNK_TRIALS
+def _qber_point(spec: SweepSpec, snr_db: float, p_eq: float, i_snr: int, i_p: int) -> list[dict]:
     jobs = [
         (spec, snr_db, p_eq, i_snr, i_p, ci, n)
-        for ci, n in enumerate(_chunk_sizes(spec.trials_per_point, chunk))
+        for ci, n in enumerate(_chunk_sizes(spec.trials_per_point, QBER_CHUNK_TRIALS))
     ]
     qber = MetricAccumulator()
     ber = MetricAccumulator()
     for qe, qn, be, bn in _run_chunks(spec, _qber_chunk, jobs):
         qber.add(qe, qn)
         ber.add(be, bn)
-    return _curve_row(spec, spec.sweep_kind, "", snr_db, p_eq, ber=ber, qber=qber)
+    return [_curve_row(spec, spec.sweep_kind, "", snr_db, p_eq, ber=ber, qber=qber)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +292,7 @@ def _shor_chunk(job) -> int:
     return pauli_frame_batch(axis_params(p_axis, spec.axis_convention), rng, n_trials)
 
 
-def _shor_point(spec: SweepSpec, p_axis: float, i_p: int) -> dict:
+def _shor_point(spec: SweepSpec, p_axis: float, i_p: int) -> list[dict]:
     jobs = [
         (spec, p_axis, i_p, ci, n)
         for ci, n in enumerate(_chunk_sizes(spec.trials_per_point, SHOR_CHUNK_TRIALS))
@@ -353,7 +304,7 @@ def _shor_point(spec: SweepSpec, p_axis: float, i_p: int) -> dict:
     row["p_shor"] = logical.rate
     row["p_shor_exact"] = exact
     row["trials"] = spec.trials_per_point
-    return row
+    return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +328,24 @@ def _session_cfg(spec: SweepSpec, p_eq: float, snr_db: float) -> QsdcConfig:
     )
 
 
-def session_row(spec: SweepSpec, session_id: int, report, threshold: float) -> dict:
-    return {
+def session_payload(spec: SweepSpec, session_id: int):
+    if not spec.payload_per_session:
+        return None
+    payload_rng = _rng_for(spec, 1, session_id)
+    return [random_state(1, payload_rng) for _ in range(spec.payload_per_session)]
+
+
+def run_session_row(
+    spec: SweepSpec, cfg: QsdcConfig, session_id: int, threshold: float,
+    collect_trace: bool = False,
+):
+    """Run one session of a batch; returns its report and its CSV row."""
+    t0 = time.perf_counter()
+    report = run_session(
+        cfg, session_id=session_id, payload=session_payload(spec, session_id),
+        collect_trace=collect_trace,
+    )
+    return report, {
         "sweep_kind": "qsdc_batch",
         "session_id": session_id,
         "decision": report.decision,
@@ -392,30 +359,16 @@ def session_row(spec: SweepSpec, session_id: int, report, threshold: float) -> d
         "p_eq": spec.p_eq_list[0],
         "eve_mode": spec.eve.mode,
         "seed": spec.seed,
-        "wall_ms": 0,
+        "wall_ms": _elapsed_ms(t0) if spec.timing else 0,
         "error": "",
     }
-
-
-def session_payload(spec: SweepSpec, session_id: int):
-    if not spec.payload_per_session:
-        return None
-    payload_rng = _rng_for(spec, 1, session_id)
-    return [random_state(1, payload_rng) for _ in range(spec.payload_per_session)]
 
 
 def _session_chunk(job) -> list[dict]:
     spec, p_eq, snr_db, session_ids = job
     cfg = _session_cfg(spec, p_eq, snr_db)
     threshold = resolve_threshold(cfg)
-    return [
-        session_row(
-            spec, sid,
-            run_session(cfg, session_id=sid, payload=session_payload(spec, sid)),
-            threshold,
-        )
-        for sid in session_ids
-    ]
+    return [run_session_row(spec, cfg, sid, threshold)[1] for sid in session_ids]
 
 
 def _qsdc_points(spec: SweepSpec) -> list[dict]:
@@ -475,53 +428,55 @@ def _error_row(spec: SweepSpec, snr_db, p_eq, exc: Exception) -> dict:
     return row
 
 
+def _elapsed_ms(t0: float) -> float:
+    """Wall-clock milliseconds since ``t0``, to the microsecond."""
+    return round(1000.0 * (time.perf_counter() - t0), 3)
+
+
+def _grid_points(spec: SweepSpec) -> list[tuple]:
+    """(snr_db, p_eq, run) per curve grid point in row order; run() gives its rows."""
+    if spec.sweep_kind == "classical_ber":
+        return [(snr_db, None, partial(_classical_point, spec, snr_db, i_snr))
+                for i_snr, snr_db in enumerate(spec.snr_grid_db)]
+    if spec.sweep_kind == "shor_curve":
+        return [(None, p_axis, partial(_shor_point, spec, p_axis, i_p))
+                for i_p, p_axis in enumerate(spec.p_eq_list)]
+    return [  # qber_vs_snr, teleport_demo
+        (snr_db, p_eq, partial(_qber_point, spec, snr_db, p_eq, i_snr, i_p))
+        for i_snr, snr_db in enumerate(spec.snr_grid_db)
+        for i_p, p_eq in enumerate(spec.p_eq_list)
+    ]
+
+
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run every grid point, optionally writing the CSV to spec.output_path."""
-    rows: list[dict] = []
     if spec.sweep_kind == "qsdc_batch":
         rows = _qsdc_points(spec)
-    elif spec.sweep_kind == "classical_ber":
-        for i_snr, snr_db in enumerate(spec.snr_grid_db):
+    else:
+        rows = []
+        for snr_db, p_eq, run in _grid_points(spec):
             t0 = time.perf_counter()
             try:
-                point_rows = _classical_point(spec, snr_db, i_snr)
+                point_rows = run()
             except Exception as exc:  # point failures must not kill the sweep
-                point_rows = [_error_row(spec, snr_db, None, exc)]
+                point_rows = [_error_row(spec, snr_db, p_eq, exc)]
             if spec.timing:
-                ms = int(1000 * (time.perf_counter() - t0))
-                for r in point_rows:
-                    r["wall_ms"] = ms
+                ms = _elapsed_ms(t0)
+                for row in point_rows:
+                    row["wall_ms"] = ms
             rows.extend(point_rows)
-    elif spec.sweep_kind == "shor_curve":
-        for i_p, p_axis in enumerate(spec.p_eq_list):
-            t0 = time.perf_counter()
-            try:
-                row = _shor_point(spec, p_axis, i_p)
-            except Exception as exc:
-                row = _error_row(spec, None, p_axis, exc)
-            if spec.timing:
-                row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
-            rows.append(row)
-    else:  # qber_vs_snr, teleport_demo
-        for i_snr, snr_db in enumerate(spec.snr_grid_db):
-            for i_p, p_eq in enumerate(spec.p_eq_list):
-                t0 = time.perf_counter()
-                try:
-                    row = _qber_point(spec, snr_db, p_eq, i_snr, i_p)
-                except Exception as exc:
-                    row = _error_row(spec, snr_db, p_eq, exc)
-                if spec.timing:
-                    row["wall_ms"] = int(1000 * (time.perf_counter() - t0))
-                rows.append(row)
-
     if spec.output_path:
-        text = render_csv(spec, rows)
-        try:
-            with open(spec.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SweepIOError(str(exc)) from exc
+        write_csv(spec, rows)
     return rows
+
+
+def write_csv(spec: SweepSpec, rows: list[dict]) -> None:
+    """Write the rendered CSV to ``spec.output_path``; SweepIOError if it cannot."""
+    try:
+        with open(spec.output_path, "w", encoding="utf-8") as fh:
+            fh.write(render_csv(spec, rows))
+    except OSError as exc:
+        raise SweepIOError(str(exc)) from exc
 
 
 class SweepIOError(OSError):

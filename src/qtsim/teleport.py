@@ -90,6 +90,27 @@ def receiver_correct(qubit3: StateVector, outcome: BellOutcome) -> StateVector:
     return state
 
 
+PAULI_FROM_FLAGS = {
+    (0, 0): PauliError.I, (1, 0): PauliError.X,
+    (0, 1): PauliError.Z, (1, 1): PauliError.Y,
+}  # keyed by (x, z) frame flags
+
+
+def frame_teleport_exact(
+    psi: StateVector, pair_x: int, pair_z: int, classical_error: tuple[int, int]
+) -> bool:
+    """Pauli-frame teleport: is ``psi`` reconstructed exactly?
+
+    Every step of the protocol is Clifford, so whatever the sender measures,
+    the receiver ends with ``psi`` under one residual Pauli: the pair's frame
+    (``pair_x``, ``pair_z`` on the receiver's half) times the classical bit
+    errors, where a flipped m1 adds Z and a flipped m2 adds X.  The verdict
+    is the same fidelity test that ``TeleportResult.is_error`` applies.
+    """
+    residual = PAULI_FROM_FLAGS[(pair_x ^ classical_error[1], pair_z ^ classical_error[0])]
+    return fidelity(apply_pauli(psi, 0, residual), psi) >= 1.0 - ERROR_FIDELITY_TOL
+
+
 def teleport_once(
     psi: StateVector,
     classical_error: tuple[int, int] = (0, 0),

@@ -1,14 +1,16 @@
 """Sweep engine and CLI: schemas, determinism, audits, exit codes."""
 import csv
+import dataclasses
 import io
 import math
 import os
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from qtsim.cli import main, parse_eve
+from qtsim.cli import build_parser, main, parse_eve
 from qtsim.metrics import wilson_interval
 from qtsim.qchannel import DepolarizingParams, EveModel
 from qtsim.qstate import PauliError, StateVector, basis_state, fidelity
@@ -245,6 +247,48 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
         "--out", str(missing),
     ])
     assert code == 2
+
+
+def test_cli_qsdc_trace_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir" / "out.csv"
+    code = main([
+        "qsdc", "-n", "2", "-m", "20", "--trace", str(tmp_path / "trace.txt"),
+        "--out", str(missing),
+    ])
+    assert code == 2
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_readme_cli_commands_parse():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("qtsim ")
+    ]
+    assert len(commands) >= 6
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # a bad flag raises CliConfigError
+
+
+def test_session_timing_fills_wall_ms(tmp_path):
+    spec = SweepSpec(
+        sweep_kind="qsdc_batch", p_eq_list=(0.005,), trials_per_point=3, seed=12,
+        n_pairs=2, m_virtual=20, use_shor=True,
+    )
+    untimed = run_sweep(spec)
+    timed = run_sweep(dataclasses.replace(spec, timing=True))
+    assert [row["wall_ms"] for row in untimed] == [0, 0, 0]
+    assert all(row["wall_ms"] > 0 for row in timed)
+    assert [{**row, "wall_ms": 0} for row in timed] == untimed
+
+    out = tmp_path / "sessions.csv"
+    assert main([
+        "qsdc", "--sessions", "2", "-n", "2", "-m", "20", "--timing",
+        "--trace", str(tmp_path / "trace.txt"), "--out", str(out),
+    ]) == 0
+    assert all(float(row["wall_ms"]) > 0 for row in _parse(out.read_text()))
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
