@@ -18,7 +18,7 @@ from .cchannel import (
     qpsk_modulate,
     transmit,
 )
-from .turbo import TurboConfig, coded_block_bits, turbo_decode_batch, turbo_encode
+from .turbo import TurboConfig, coded_block_bits, turbo_decode_batch, turbo_encode_batch
 
 
 def send_bits(
@@ -46,15 +46,10 @@ def send_bits(
     n_blocks = max(1, math.ceil(bits.size / k))
     padded = np.zeros(n_blocks * k, dtype=np.int8)
     padded[: bits.size] = bits
-    coded = np.concatenate(
-        [
-            turbo_encode(padded[i * k : (i + 1) * k], turbo_cfg).to_bits()
-            for i in range(n_blocks)
-        ]
-    )
-    received = transmit(qpsk_modulate(coded, snr_db), rician, rng, coherence)
-    llrs = qpsk_demodulate_soft(received).llrs.reshape(
-        n_blocks, coded_block_bits(turbo_cfg)
-    )
+    coded = turbo_encode_batch(padded.reshape(n_blocks, k), turbo_cfg).reshape(-1)
+    # The received frame is dropped before decoding, which needs the memory.
+    llrs = qpsk_demodulate_soft(
+        transmit(qpsk_modulate(coded, snr_db), rician, rng, coherence)
+    ).llrs.reshape(n_blocks, coded_block_bits(turbo_cfg))
     decoded = turbo_decode_batch(llrs, turbo_cfg).reshape(-1)
     return decoded[: bits.size].astype(np.int8)

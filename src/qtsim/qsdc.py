@@ -96,7 +96,7 @@ class SessionState:
     phase: str = "distributed"
     virtual_qber: float | None = None
     decision: str | None = None
-    pair_trace: list[tuple] = field(default_factory=list)
+    pair_trace: list[tuple] | None = field(default_factory=list)  # None: not recorded
 
     @property
     def pair_states(self) -> tuple[StateVector, ...]:
@@ -183,12 +183,13 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     alice = bob ^ state.parity_bits[positions]
     opposite = alice != bob  # required for (|01>+|10>)/sqrt(2)
     disagreements = len(positions) - int(np.count_nonzero(opposite))
-    state.pair_trace.extend(
-        ("virtual", pos, a, b, ok)
-        for pos, a, b, ok in zip(
-            positions, alice.tolist(), bob.tolist(), opposite.astype(int).tolist()
+    if state.pair_trace is not None:
+        state.pair_trace.extend(
+            ("virtual", pos, a, b, ok)
+            for pos, a, b, ok in zip(
+                positions, alice.tolist(), bob.tolist(), opposite.astype(int).tolist()
+            )
         )
-    )
     virtual_qber = disagreements / cfg.m_virtual
     threshold = resolve_threshold(cfg)
     decision = "accept" if virtual_qber <= threshold else "abort"
@@ -243,7 +244,8 @@ def teleport_payload(
     ):
         exact = frame_teleport_exact(psi, x, z, error)
         n_errors += not exact
-        state.pair_trace.append(("payload", pos, m1, m2, int(exact)))
+        if state.pair_trace is not None:
+            state.pair_trace.append(("payload", pos, m1, m2, int(exact)))
 
     payload_qber = n_errors / len(payload) if payload else 0.0
     classical_ber = float(bit_errors.mean()) if bit_errors.size else 0.0
@@ -305,6 +307,8 @@ def run_session(
         )
         t0 = time.perf_counter()
         state = distribute_pairs(cfg, rng)
+        if not collect_trace:
+            state.pair_trace = None
         t1 = time.perf_counter()
         state = transmit_protected(state, cfg, rng)
         t2 = time.perf_counter()

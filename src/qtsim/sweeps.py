@@ -98,6 +98,9 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
         if not self.snr_grid_db or not self.p_eq_list:
             raise ValueError("sweep grids must be nonempty")
+        bad = [p for p in self.p_eq_list if not 0.0 <= p <= 1.0]
+        if bad:
+            raise ValueError(f"p_eq values must lie in [0, 1], got {bad}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
         if self.sweep_kind in _STATISTICAL_KINDS and self.trials_per_point < 1000:
@@ -156,26 +159,30 @@ def _coded_chunk(job) -> tuple[int, int]:
     return int(np.count_nonzero(bits != out)), n_blocks * k
 
 
+def _ber_chunk(job) -> tuple[int, int]:
+    coded, *args = job
+    return (_coded_chunk if coded else _uncoded_chunk)(tuple(args))
+
+
 def _classical_point(spec: SweepSpec, snr_db: float, i_snr: int) -> list[dict]:
     n_bits = spec.trials_per_point
     jobs = [
-        (spec, snr_db, i_snr, ci, n)
+        (False, spec, snr_db, i_snr, ci, n)
         for ci, n in enumerate(_chunk_sizes(n_bits, UNCODED_CHUNK_BITS))
     ]
-    uncoded = MetricAccumulator()
-    for err, tot in _run_chunks(spec, _uncoded_chunk, jobs):
-        uncoded.add(err, tot)
+    if spec.use_turbo:
+        n_blocks = max(1, math.ceil(n_bits / spec.turbo.block_length))
+        jobs += [
+            (True, spec, snr_db, i_snr, ci, nb)
+            for ci, nb in enumerate(_chunk_sizes(n_blocks, CODED_CHUNK_BLOCKS))
+        ]
+    # Both variants' chunks share one pool, so a point starts its workers once.
+    uncoded, coded = MetricAccumulator(), MetricAccumulator()
+    for job, (err, tot) in zip(jobs, _run_chunks(spec, _ber_chunk, jobs)):
+        (coded if job[0] else uncoded).add(err, tot)
 
     rows = [_curve_row(spec, "classical_ber", "uncoded", snr_db, None, ber=uncoded)]
     if spec.use_turbo:
-        n_blocks = max(1, math.ceil(n_bits / spec.turbo.block_length))
-        jobs = [
-            (spec, snr_db, i_snr, ci, nb)
-            for ci, nb in enumerate(_chunk_sizes(n_blocks, CODED_CHUNK_BLOCKS))
-        ]
-        coded = MetricAccumulator()
-        for err, tot in _run_chunks(spec, _coded_chunk, jobs):
-            coded.add(err, tot)
         rows.append(_curve_row(spec, "classical_ber", "turbo", snr_db, None, ber=coded))
     return rows
 

@@ -12,15 +12,29 @@ Frame layout (bit-exact, ``CodedFrame.to_bits`` / ``split_llrs``):
 
 so a block carries exactly 3*K + 6 channel bits.
 
-Decoding is iterative BCJR (exact log-MAP via logaddexp, or max-log) with
-extrinsic exchange between the two constituent decoders.  LLR convention
-throughout: positive favors bit 0.  The decoder is batched over blocks;
-``turbo_decode`` is the single-frame wrapper.
+Decoding is iterative BCJR with extrinsic exchange between the two
+constituent decoders.  LLR convention throughout: positive favors bit 0.
+
+- Exact log-MAP (``_log_map``) is the BCJR recursion of Bahl et al. in the
+  probability domain, scaled to sum 1 at every step.  The branch factors are
+  exponentiated once per half-iteration from half-metrics clipped to
+  +-``LOG_MAP_CLIP``, which keeps every factor, product and scale a normal
+  double for any input; the forward and backward recursions then only
+  multiply and add, and one logarithm per bit gives the extrinsic LLR.  Its
+  LLRs agree with the log-domain recursion wherever they lie below the clip,
+  and its decisions matched it on every test corpus.
+- Max-log (``_bcjr`` with ``max_log``) stays in the log domain.  The same
+  function with ``max_log=False`` is the log-domain log-MAP oracle of the
+  tests.
+
+Both encoder and decoder are batched over blocks (the batch is the last,
+contiguous axis of the decoder's state metrics); ``turbo_encode`` and
+``turbo_decode`` are the single-block wrappers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -98,27 +112,75 @@ class RscTrellis:
                 self.parity[x, s] = p
                 self.next_state[x, s] = (a << (self.memory - 1)) | (s >> 1)
 
-    def encode(self, bits: np.ndarray, terminate: bool):
-        """Parity stream for ``bits``; optionally append the 3 tail steps.
+        # Butterfly: state s = 2j + p moves to (x ^ fb(s)) * S/2 + j with
+        # fb(s) = term_input[s], so states 2j and 2j + 1 feed j and S/2 + j.
+        # forward[p, a, j] is the branch index 2x + parity of 2j + p -> a*S/2 + j.
+        half = self.n_states // 2
+        p, a, j = np.ix_((0, 1), (0, 1), range(half))
+        x = a ^ self.term_input[2 * j + p]
+        forward = 2 * x + self.parity[x, 2 * j + p]
+        # Bit reversal maps 2j + p to p * S/2 + rev(j) and a * S/2 + j to
+        # 2 rev(j) + a, so a backward step over bit-reversed states reads and
+        # writes the same [input, j] and [output, j] views as a forward step
+        # over natural states.  butterfly[d, i, o, j] is the branch index of
+        # output o from input i in direction d (0 forward, 1 backward).
+        self.bit_reversed = np.array(
+            [int(format(s, f"0{self.memory}b")[::-1], 2) for s in range(self.n_states)]
+        )
+        backward = forward[:, :, self.bit_reversed[:half] // 2].transpose(1, 0, 2)
+        self.butterfly = np.stack([forward, backward]).astype(np.intp)
 
-        Returns (parity, tail_inputs, tail_parity); the tails are empty
-        arrays when ``terminate`` is False.
+        # The encoder takes eight inputs per step: for 256 * state + byte
+        # (first input in the top bit), the state reached, times 256, and the
+        # eight parity bits packed the same way.  Input 0 keeps state 0, so
+        # a block is zero-padded in front to whole bytes.
+        state = np.repeat(np.arange(self.n_states), 256)
+        byte = np.tile(np.arange(256), self.n_states)
+        packed = np.zeros_like(state)
+        for shift in range(7, -1, -1):
+            x = (byte >> shift) & 1
+            packed = 2 * packed + self.parity[x, state]
+            state = self.next_state[x, state]
+        self.byte_next = 256 * state
+        self.byte_parity = packed.astype(np.uint8)
+        # Termination from each state: the tail inputs and their parity bits.
+        self.tail_input = np.empty((self.n_states, self.memory), dtype=np.int8)
+        self.tail_parity = np.empty_like(self.tail_input)
+        state = np.arange(self.n_states)
+        for k in range(self.memory):
+            x = self.term_input[state]
+            self.tail_input[:, k] = x
+            self.tail_parity[:, k] = self.parity[x, state]
+            state = self.next_state[x, state]
+        assert not state.any(), "termination must reach the zero state"
+
+    def encode(self, bits: np.ndarray, terminate: bool):
+        """Parity streams for one block or for a (B, K) batch of blocks.
+
+        Returns (parity, tail_inputs, tail_parity) with the leading shape of
+        ``bits``; the tails have ``memory`` steps when ``terminate`` is set
+        and none otherwise.  The loop runs over the bytes of the block, each
+        step over all blocks at once.
         """
-        parity = np.empty(bits.size, dtype=np.int8)
-        s = 0
-        for k, b in enumerate(bits):
-            parity[k] = self.parity[b, s]
-            s = self.next_state[b, s]
-        tail_in = np.empty(self.memory if terminate else 0, dtype=np.int8)
-        tail_par = np.empty_like(tail_in)
-        if terminate:
-            for k in range(self.memory):
-                x = self.term_input[s]
-                tail_in[k] = x
-                tail_par[k] = self.parity[x, s]
-                s = self.next_state[x, s]
-            assert s == 0, "termination must reach the zero state"
-        return parity, tail_in, tail_par
+        bits = np.asarray(bits, dtype=np.int8)
+        flat = bits.reshape(-1, bits.shape[-1])
+        pad = -flat.shape[1] % 8
+        padded = np.zeros((flat.shape[0], flat.shape[1] + pad), dtype=np.uint8)
+        padded[:, pad:] = flat
+        state = np.zeros(flat.shape[0], dtype=np.intp)  # 256 * state
+        index = []
+        for byte in np.packbits(padded, axis=1).T.astype(np.intp):
+            index.append(state + byte)
+            state = self.byte_next[index[-1]]
+        index = np.array(index).reshape(-1, flat.shape[0]).T
+        parity = np.unpackbits(self.byte_parity[index], axis=1)[:, pad:].astype(np.int8)
+        n_tail = self.memory if terminate else 0
+        shape = bits.shape[:-1]
+        return (
+            parity.reshape(*shape, -1),
+            self.tail_input[state // 256, :n_tail].reshape(*shape, -1),
+            self.tail_parity[state // 256, :n_tail].reshape(*shape, -1),
+        )
 
 
 @lru_cache(maxsize=8)
@@ -132,17 +194,25 @@ def _permutation(seed: int, length: int) -> np.ndarray:
 
 
 def interleave(values, seed: int) -> np.ndarray:
-    """Pseudorandom permutation of a 1-D sequence (deterministic per seed)."""
+    """Pseudorandom permutation along the last axis (deterministic per seed)."""
     values = np.asarray(values)
-    return values[_permutation(seed, values.shape[-1])]
+    return values[..., _permutation(seed, values.shape[-1])]
 
 
 def deinterleave(values, seed: int) -> np.ndarray:
     """Inverse of ``interleave`` with the same seed."""
     values = np.asarray(values)
     out = np.empty_like(values)
-    out[_permutation(seed, values.shape[-1])] = values
+    out[..., _permutation(seed, values.shape[-1])] = values
     return out
+
+
+def _encode_streams(info: np.ndarray, cfg: TurboConfig):
+    """The five frame streams of a (B, K) batch, each (B, length) int8."""
+    trellis = _trellis(cfg.generators)
+    parity1, tail_in, tail_par1 = trellis.encode(info, terminate=True)
+    parity2, _, _ = trellis.encode(interleave(info, cfg.interleaver_seed), terminate=False)
+    return info, parity1, parity2, tail_in, tail_par1
 
 
 def turbo_encode(info, cfg: TurboConfig) -> CodedFrame:
@@ -152,11 +222,18 @@ def turbo_encode(info, cfg: TurboConfig) -> CodedFrame:
         raise ValueError(
             f"expected {cfg.block_length} info bits, got {info.size}"
         )
-    trellis = _trellis(cfg.generators)
-    parity1, tail_in, tail_par1 = trellis.encode(info, terminate=True)
-    interleaved = interleave(info, cfg.interleaver_seed)
-    parity2, _, _ = trellis.encode(interleaved, terminate=False)
-    return CodedFrame(info.copy(), parity1, parity2, tail_in, tail_par1)
+    streams = _encode_streams(info.reshape(1, -1), cfg)
+    return CodedFrame(*(stream[0].copy() for stream in streams))
+
+
+def turbo_encode_batch(info, cfg: TurboConfig) -> np.ndarray:
+    """Encode a (B, K) batch of blocks to (B, 3K+6) bits in frame layout."""
+    info = np.asarray(info, dtype=np.int8)
+    if info.ndim != 2 or info.shape[1] != cfg.block_length:
+        raise ValueError(
+            f"expected (B, {cfg.block_length}) info bits, got shape {info.shape}"
+        )
+    return np.concatenate(_encode_streams(info, cfg), axis=1)
 
 
 def coded_block_bits(cfg: TurboConfig) -> int:
@@ -236,14 +313,176 @@ def _bcjr(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool, max_lo
     return posterior
 
 
+# Half-metric clip of the probability-domain decoder.  Every branch factor
+# lies in [exp(-4 C), 1], and from the third step on every nonzero scaled
+# state metric lies in [exp(-12 C) / 64, 1], so the smallest product formed,
+# alpha * parity factor * beta in the posterior, stays above
+# exp(-26 C) / 4096: a normal double for C < 26.9.  An LLR past 2 C = 50
+# means an error probability below 2e-22 either way.
+LOG_MAP_CLIP = 25.0
+SLAB = 64  # trellis steps per branch-factor gather and per posterior pass
+
+
+class _LogMapBuffers:
+    """Work arrays of ``_log_map`` for up to ``max_steps`` steps of ``batch`` blocks.
+
+    One batch decode makes all its constituent passes in the same arrays,
+    so its working set is allocated and paged in once, not once per pass:
+    the largest arrays (several MB at K = 1024, B = 128) would otherwise be
+    mapped afresh by the allocator and page-faulted in by every pass.
+    """
+
+    def __init__(self, batch: int, max_steps: int, n_states: int):
+        self.input_factor = np.empty((max_steps, 2, batch))
+        self.parity_factor = np.empty((max_steps, 2, batch))
+        self.branch = np.empty((max_steps, 2, 2, batch))
+        self.low = np.empty((max_steps // 2 + 1, 2, n_states, batch))
+        self.buf = np.empty((SLAB + 1, 2, n_states, batch))
+        self.extrinsic = np.empty((max_steps, batch))
+        self.gathered = np.empty((SLAB, 2, 2, 2, n_states // 2, batch))
+        self.paths = np.empty((SLAB, 2, n_states, batch))
+        self.factors = np.empty((SLAB, 2, n_states, batch))
+        self.sums = np.empty((SLAB, 2, batch))
+
+
+def _bit_factors(llr, out) -> None:
+    """exp(+-h - |h|) for bit values 0 and 1 with h = llr / 2 clipped to C.
+
+    ``llr`` is (B, T); ``out`` (T, 2, B) receives 1 for the likelier value
+    and exp(-2|h|) for the other.  As h - |h| = 2 min(h, 0), the exponents
+    are llr clipped to [-2C, 0] and -llr clipped to the same range.
+    """
+    bound = 2 * LOG_MAP_CLIP
+    np.clip(llr.T, -bound, 0.0, out=out[:, 0])
+    np.clip(llr.T, 0.0, bound, out=out[:, 1])
+    np.negative(out[:, 1], out=out[:, 1])
+    np.exp(out, out=out)
+
+
+def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered) -> None:
+    """Fill ``rows[1:]`` from ``rows[0]``, row i + 1 by step ``first_step + i``.
+
+    A row holds (alpha_k, beta_{T-k}) over the states, beta's bit-reversed,
+    so that step k -> k+1 runs the forward butterfly of trellis step k and
+    the backward one of step T-1-k with the same views, then rescales both
+    to sum 1.  ``branch`` holds rows 4t + 2*input + parity; ``gathered``
+    receives the factors of each step's butterflies.
+    """
+    n_rows, _, n_states, batch = rows.shape
+    half = n_states // 2
+    inputs = rows.reshape(n_rows, 2, half, 2, batch).transpose(0, 1, 3, 2, 4)[:, :, :, None]
+    outputs = rows.reshape(n_rows, 2, 2, half, batch)
+    k = np.arange(first_step, first_step + n_rows - 1)[:, None, None, None]
+    last = branch.shape[0] // 4 - 1
+    g = np.take(branch, 4 * np.stack([k, last - k], axis=1) + trellis.butterfly,
+                axis=0, out=gathered[:n_rows - 1], mode="clip")  # [k, d, i, o, j, b]
+    prod = np.empty(g.shape[1:])
+    total = np.empty((2, 1, batch))
+    multiply, add, divide, add_reduce = np.multiply, np.add, np.divide, np.add.reduce
+    for i, g_k in enumerate(g):
+        multiply(g_k, inputs[i], out=prod)
+        add(prod[:, 0], prod[:, 1], out=outputs[i + 1])
+        nxt = rows[i + 1]
+        add_reduce(nxt, axis=1, keepdims=True, out=total)
+        divide(nxt, total, out=nxt)
+
+
+def _extrinsic(alpha, beta_next, parity_factor, trellis: RscTrellis, out,
+               work: _LogMapBuffers) -> None:
+    """Extrinsic LLRs of L steps: log-ratio of the input-0 and input-1 sums.
+
+    The sum for input x runs over alpha_t(s) * parity factor * beta_{t+1}(s')
+    of the transitions s -> s' with input x; ``alpha`` is (L, S, B) over
+    natural states, ``beta_next`` (L, S, B) over bit-reversed ones.
+    """
+    n = alpha.shape[0]
+    paths = np.take(beta_next, trellis.bit_reversed[trellis.next_state], axis=1,
+                    out=work.paths[:n], mode="clip")  # [t, x, s, b]
+    paths *= alpha[:, None]
+    paths *= np.take(parity_factor, trellis.parity, axis=1, out=work.factors[:n], mode="clip")
+    q = np.add.reduce(paths, axis=2, out=work.sums[:n]).transpose(1, 0, 2)
+    log_q = np.log(np.maximum(q, np.finfo(float).tiny, out=q), out=q)
+    np.subtract(log_q[0], log_q[1], out=out)
+
+
+def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
+             work: _LogMapBuffers | None = None):
+    """Exact log-MAP pass as a scaled probability-domain BCJR.
+
+    Same contract as ``_bcjr``: (B, T) inputs, posterior info-bit LLRs of
+    shape (B, T).  The branch factors are exponentiated once; the forward
+    and backward recursions then only multiply and add (``_advance``), and
+    one logarithm per bit gives the extrinsic part of the posterior.
+    ``work`` holds the work arrays (new ones if not given).
+    """
+    batch, steps = l_sys.shape
+    n_states = trellis.n_states
+    if work is None:
+        work = _LogMapBuffers(batch, steps, n_states)
+    input_factor = work.input_factor[:steps]
+    parity_factor = work.parity_factor[:steps]
+    extrinsic = work.extrinsic[:steps]  # holds L_sys + L_a until the posterior
+    _bit_factors(np.add(l_sys, l_apriori, out=extrinsic.T), input_factor)
+    _bit_factors(l_par, parity_factor)
+    # (T * 4, B) rows 4t + 2*input + parity; the largest of each step is 1.
+    branch = np.multiply(input_factor[:, :, None], parity_factor[:, None],
+                         out=work.branch[:steps]).reshape(steps * 4, batch)
+
+    # Row k holds alpha_k and beta_{T-k}; step t's posterior reads alpha from
+    # row t and beta_{t+1} from row T-1-t.  Rows 0..T//2 are kept, the later
+    # ones are made slab by slab and used at once with their partner rows.
+    low = work.low[:steps // 2 + 1]
+    low[0] = 0.0
+    low[0, 0, 0] = 1.0
+    if terminated:
+        low[0, 1, 0] = 1.0  # state 0 is its own bit reversal
+    else:
+        low[0, 1] = 1.0 / n_states
+    n_low = low.shape[0]
+    for k0 in range(0, n_low - 1, SLAB):
+        _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work.gathered)
+
+    mid = slice(steps - n_low, n_low)  # steps whose two rows are both kept
+    _extrinsic(low[mid, 0], low[mid, 1][::-1], parity_factor[mid],
+               trellis, extrinsic[mid], work)
+    buf = work.buf
+    buf[0] = low[-1]
+    for r0 in range(n_low, steps, SLAB):
+        r1 = min(r0 + SLAB, steps)
+        rows = buf[:r1 - r0 + 1]
+        _advance(rows, branch, trellis, r0 - 1, work.gathered)
+        partner = low[steps - r1:steps - r0]  # rows T-1-r, r from r1-1 down to r0
+        _extrinsic(rows[1:, 0], partner[::-1, 1], parity_factor[r0:r1],
+                   trellis, extrinsic[r0:r1], work)
+        _extrinsic(partner[:, 0], rows[:0:-1, 1], parity_factor[steps - r1:steps - r0],
+                   trellis, extrinsic[steps - r1:steps - r0], work)
+        buf[0] = rows[-1]
+    return l_sys + l_apriori + extrinsic.T
+
+
 def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
     """Iteratively decode a batch of blocks.
 
     ``llrs`` is (B, 3K+6) in frame layout order.  Returns (B, K) hard bits,
     or with ``iteration_trace`` a list of per-iteration hard-bit arrays.
     """
+    if cfg.decoder == "max_log_map":
+        siso = partial(_bcjr, max_log=True)
+    else:
+        trellis = _trellis(cfg.generators)
+        siso = partial(_log_map, work=_LogMapBuffers(
+            np.atleast_2d(llrs).shape[0], cfg.block_length + trellis.memory,
+            trellis.n_states))
+    return _iterate(llrs, cfg, siso, iteration_trace)
+
+
+def _iterate(llrs, cfg: TurboConfig, siso, iteration_trace: bool = False):
+    """Turbo iterations with ``siso`` as the constituent decoder.
+
+    ``siso(l_sys, l_par, l_apriori, trellis, terminated)`` returns posterior
+    LLRs; the iterations exchange their extrinsic parts.
+    """
     trellis = _trellis(cfg.generators)
-    max_log = cfg.decoder == "max_log_map"
     l_sys, l_par1, l_par2, l_tail_sys, l_tail_par1 = split_llrs(llrs, cfg)
     batch, k = l_sys.shape
     perm = _permutation(cfg.interleaver_seed, k)
@@ -257,10 +496,10 @@ def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
     apriori1 = np.zeros((batch, k + trellis.memory))
     trace = []
     for _ in range(cfg.iterations):
-        post1 = _bcjr(sys1, par1, apriori1, trellis, terminated=True, max_log=max_log)
+        post1 = siso(sys1, par1, apriori1, trellis, terminated=True)
         extrinsic1 = post1[:, :k] - l_sys - apriori1[:, :k]
         apriori2 = extrinsic1[:, perm]
-        post2 = _bcjr(sys2, l_par2, apriori2, trellis, terminated=False, max_log=max_log)
+        post2 = siso(sys2, l_par2, apriori2, trellis, terminated=False)
         extrinsic2 = post2 - sys2 - apriori2
         apriori1[:, :k] = extrinsic2[:, inv]
         if iteration_trace:

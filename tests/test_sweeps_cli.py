@@ -23,6 +23,7 @@ from qtsim.sweeps import (
     run_sweep,
 )
 from qtsim.teleport import DEFAULT_TEST_STATE, BellOutcome, receiver_correct, teleport_once
+from qtsim.turbo import TurboConfig
 
 
 def _parse(text: str):
@@ -223,6 +224,21 @@ def test_sweep_bytes_identical_across_runs_and_threads(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_classical_ber_bytes_identical_across_threads():
+    # one uncoded and three coded chunks, which share one pool at threads=2
+    texts = []
+    for threads in (1, 2):
+        spec = SweepSpec(
+            sweep_kind="classical_ber", snr_grid_db=(0.0,), p_eq_list=(0.0,),
+            trials_per_point=20_000, seed=12, threads=threads,
+            turbo=TurboConfig(block_length=64, iterations=2),
+        )
+        texts.append(render_csv(spec, run_sweep(spec)))
+    assert texts[0] == texts[1]
+    uncoded, coded = _parse(texts[0])
+    assert (uncoded["variant"], coded["variant"]) == ("uncoded", "turbo")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -238,6 +254,18 @@ def test_cli_no_command_exits_1(capsys):
 
 def test_cli_bad_eve_value_exits_1(capsys):
     assert main(["qsdc", "--eve", "mitm"]) == 1
+
+
+def test_cli_out_of_range_p_eq_exits_1(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    for p_eq in ("1.5", "-0.1", "nan"):
+        code = main([
+            "sweep", "--kind", "qber_vs_snr", f"--p-eq={p_eq}", "--snr-grid=4",
+            "--trials", "1000", "--out", str(out),
+        ])
+        assert code == 1
+        assert "p_eq" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
@@ -257,6 +285,21 @@ def test_cli_qsdc_trace_unwritable_output_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_cli_qsdc_trace_bytes_fixed_seed(tmp_path, capsys):
+    # The trace was recorded before trace rows became opt-in inside sessions;
+    # untraced sessions draw the same numbers, so their CSV rows match too.
+    args = [
+        "qsdc", "--sessions", "4", "-n", "8", "-m", "20", "--payload", "4",
+        "--p-e", "0.02", "--eve", "boost:0.1", "--snr-db", "0", "--seed", "17",
+    ]
+    trace = tmp_path / "trace.txt"
+    assert main(args + ["--trace", str(trace), "--out", str(tmp_path / "traced.csv")]) == 0
+    data = pathlib.Path(__file__).parent / "data" / "qsdc_trace_seed17.txt"
+    assert trace.read_bytes() == data.read_bytes()
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_readme_cli_commands_parse():

@@ -2,14 +2,22 @@
 import json
 import math
 import pathlib
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 
+from qtsim.cchannel import RicianParams, qpsk_demodulate_soft, qpsk_modulate, transmit
+from qtsim.link import send_bits
 from qtsim.turbo import (
+    LOG_MAP_CLIP,
     CodedFrame,
     RscTrellis,
     TurboConfig,
+    _bcjr,
+    _iterate,
+    _log_map,
+    _LogMapBuffers,
     coded_block_bits,
     deinterleave,
     interleave,
@@ -17,6 +25,7 @@ from qtsim.turbo import (
     turbo_decode,
     turbo_decode_batch,
     turbo_encode,
+    turbo_encode_batch,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -73,6 +82,34 @@ def test_trellis_matches_reference_encoder():
         assert np.array_equal(parity, ref_parity)
         assert np.array_equal(tail_in, ref_tail_in)
         assert np.array_equal(tail_par, ref_tail_par)
+
+
+def test_batched_encoder_matches_reference_rows():
+    rng = np.random.default_rng(68)
+    trellis = RscTrellis()
+    for batch, k in ((1, 40), (7, 100), (64, 333)):
+        bits = rng.integers(0, 2, size=(batch, k), dtype=np.int8)
+        for terminate in (True, False):
+            parity, tail_in, tail_par = trellis.encode(bits, terminate=terminate)
+            assert parity.shape == (batch, k)
+            assert tail_in.shape == tail_par.shape == (batch, 3 if terminate else 0)
+            for row, p, ti, tp in zip(bits, parity, tail_in, tail_par):
+                ref_parity, ref_tail_in, ref_tail_par = reference_rsc_encode(row)
+                assert np.array_equal(p, ref_parity)
+                if terminate:
+                    assert np.array_equal(ti, ref_tail_in)
+                    assert np.array_equal(tp, ref_tail_par)
+
+
+def test_batched_turbo_encode_matches_single_blocks():
+    cfg = TurboConfig(block_length=128)
+    infos = np.random.default_rng(69).integers(0, 2, size=(9, 128), dtype=np.int8)
+    coded = turbo_encode_batch(infos, cfg)
+    assert coded.shape == (9, coded_block_bits(cfg)) and coded.dtype == np.int8
+    for info, row in zip(infos, coded):
+        assert np.array_equal(row, turbo_encode(info, cfg).to_bits())
+    with pytest.raises(ValueError):
+        turbo_encode_batch(infos[:, :100], cfg)
 
 
 def test_golden_vectors():
@@ -222,3 +259,117 @@ def test_iteration_trace_ber_non_increasing():
         sigma = math.sqrt(max(earlier, 1e-9) * (1 - earlier) / n)
         assert later <= earlier + 4 * sigma
     assert bers[-1] < bers[0]
+
+
+# ---------------------------------------------------------------------------
+# probability-domain log-MAP against the log-domain oracle
+# ---------------------------------------------------------------------------
+
+_ORACLE = partial(_bcjr, max_log=False)
+
+
+@lru_cache(maxsize=None)
+def _rician_corpus(snr_db, n_blocks=128, seed=70):
+    """(info, channel LLRs) of turbo blocks sent through the QPSK fading link."""
+    cfg = TurboConfig()
+    rng = np.random.default_rng((seed, round(10 * snr_db) + 100))
+    infos = rng.integers(0, 2, size=(n_blocks, cfg.block_length), dtype=np.int8)
+    coded = turbo_encode_batch(infos, cfg).reshape(-1)
+    received = transmit(qpsk_modulate(coded, snr_db), RicianParams(), rng)
+    return infos, qpsk_demodulate_soft(received).llrs.reshape(n_blocks, -1)
+
+
+@pytest.mark.parametrize("snr_db", [-1.5, -1.0, 0.0, 2.0, 4.0])
+def test_log_map_matches_log_domain_oracle(snr_db):
+    """Same decisions as the log-domain oracle, same LLRs below the clip.
+
+    The oracle runs in the same iteration loop; each of its constituent
+    passes is repeated by the probability-domain decoder on the same inputs.
+    """
+    cfg = TurboConfig()
+    _, llrs = _rician_corpus(snr_db)
+    compared = []
+
+    def checked_oracle(l_sys, l_par, l_apriori, trellis, terminated):
+        ref = _ORACLE(l_sys, l_par, l_apriori, trellis, terminated)
+        new = _log_map(l_sys, l_par, l_apriori, trellis, terminated)
+        below = np.abs(ref) < LOG_MAP_CLIP
+        np.testing.assert_allclose(new[below], ref[below], rtol=1e-6, atol=1e-12)
+        compared.append(int(below.sum()))
+        return ref
+
+    reference = _iterate(llrs, cfg, checked_oracle)
+    assert len(compared) == 2 * cfg.iterations and compared[0] > 0
+    assert np.array_equal(turbo_decode_batch(llrs, cfg), reference)
+
+
+@pytest.mark.parametrize("generators", [(0o13, 0o15), (0o13, 0o16), (0o7, 0o5), (0o23, 0o35)])
+@pytest.mark.parametrize("terminated", [True, False])
+def test_log_map_matches_oracle_across_trellis_lengths(generators, terminated):
+    # odd and even lengths around the slab size (the kept half of the rows,
+    # the middle steps, the partial last slab), and codes of memory 2 to 4
+    # whose butterflies are not symmetric in input and output
+    rng = np.random.default_rng(74)
+    trellis = RscTrellis(*generators)
+    for steps in (40, 43, 63, 64, 65, 128, 129, 130, 131, 259):
+        l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, 4, steps))
+        np.testing.assert_allclose(
+            _log_map(l_sys, l_par, l_apriori, trellis, terminated),
+            _ORACLE(l_sys, l_par, l_apriori, trellis, terminated),
+            rtol=1e-9, atol=1e-9,
+        )
+
+
+def test_log_map_buffers_reused_across_passes():
+    # a batch decode runs passes of two lengths in one set of work arrays
+    rng = np.random.default_rng(75)
+    trellis = RscTrellis()
+    work = _LogMapBuffers(4, 259, trellis.n_states)
+    for steps, terminated in ((259, True), (130, False), (259, False), (43, True)):
+        l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, 4, steps))
+        np.testing.assert_array_equal(
+            _log_map(l_sys, l_par, l_apriori, trellis, terminated, work=work),
+            _log_map(l_sys, l_par, l_apriori, trellis, terminated),
+        )
+
+
+def test_single_block_decode_matches_batch():
+    cfg = TurboConfig()
+    infos, llrs = _rician_corpus(-1.0)
+    batch = turbo_decode_batch(llrs[:32], cfg)
+    assert np.count_nonzero(batch != infos[:32]) > 0  # waterfall: real decisions
+    for row, expected in zip(llrs[:32], batch):
+        assert np.array_equal(turbo_decode(row, cfg), expected)
+
+
+# ---------------------------------------------------------------------------
+# saturated inputs: no floating-point exception anywhere in the decoder
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("magnitude", [30.0, 1e3, 1e12])
+def test_saturated_frames_decode_without_fp_exceptions(magnitude):
+    cfg = TurboConfig(block_length=256, iterations=4)
+    info = np.random.default_rng(71).integers(0, 2, size=256, dtype=np.int8)
+    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg).to_bits())
+    with np.errstate(all="raise"):
+        assert np.array_equal(turbo_decode(llrs, cfg), info)
+
+
+def test_erased_frame_decodes_without_fp_exceptions():
+    # all-zero LLRs: every branch factor is 1, so an unscaled recursion
+    # would double its metrics at each of the 2051 steps
+    cfg = TurboConfig(block_length=2048, iterations=2)
+    with np.errstate(all="raise"):
+        decoded = turbo_decode(np.zeros(coded_block_bits(cfg)), cfg)
+    assert decoded.shape == (cfg.block_length,)
+
+
+def test_noiseless_link_returns_input_exactly():
+    # qpsk_demodulate_soft floors the noise variance, so LLRs reach ~3e12
+    bits = np.random.default_rng(72).integers(0, 2, size=3000, dtype=np.int8)
+    with np.errstate(all="raise"):
+        out = send_bits(
+            bits, np.random.default_rng(73), snr_db=math.inf,
+            rician=RicianParams(), turbo_cfg=TurboConfig(),
+        )
+    assert out.dtype == np.int8 and np.array_equal(out, bits)
