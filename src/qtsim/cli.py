@@ -9,14 +9,18 @@ Subcommands:
   shor-curve     decoded-error curve over a channel-probability grid
   selftest       fast invariant suite (exits 3 on failure)
 
+Each subcommand declares only the flags it reads; argparse types, defaults
+and validates every one.  ``--config`` points at a key=value file whose keys
+are the ``dest`` names of the subcommand's flags.  Its lines are parsed as
+``--flag=value`` tokens placed in front of the command line, so command-line
+flags win; QTSIM_THREADS is a ``--threads`` token in front of those.
+
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 selftest
-failure.  ``--config`` points at a key=value file; command-line flags
-override it.  QTSIM_THREADS sets the default worker count.
+failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -25,13 +29,18 @@ import numpy as np
 
 from .cchannel import RicianParams
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
-from .sweeps import SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep, write_csv
+from .sweeps import SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep
 from .turbo import TurboConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_SELFTEST = 3
+
+_TRUE = ("true", "1", "yes", "on")
+_FALSE = ("false", "0", "no", "off")
+_SWEEP_TRIALS = {"teleport_demo": 1000, "qsdc_batch": 1}  # else 100_000
+_CONFIG_HELP = "key=value file of flag values, keyed by flag dest names"
 
 
 class CliConfigError(Exception):
@@ -73,161 +82,186 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "kind", "seed", "trials", "out", "threads", "eve", "snr_grid_db", "p_eq_list",
-    "snr_db", "p_eq", "zeta", "p0", "d", "coherence", "block_length", "iterations",
-    "decoder", "interleaver_seed", "n_pairs", "m_virtual", "threshold", "payload",
-    "sessions", "no_shor", "no_turbo", "use_shor", "timing", "axis_convention",
-    "bypass_ber",
-}
-
-
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
-def _apply_config(args: argparse.Namespace, values: dict[str, str]) -> None:
-    """Fold config-file values into defaults (CLI flags win)."""
-    for key, value in values.items():
-        if key not in _CONFIG_KEYS:
-            raise CliConfigError(f"unknown config key {key!r}")
-        dest = {"trials": "trials", "out": "out", "kind": "kind"}.get(key, key)
-        if getattr(args, dest, None) is None and hasattr(args, dest):
-            setattr(args, dest, value)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--out", default=None, help="CSV output path")
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--eve", default=None, help="none | swap:frac | boost:delta")
-    parser.add_argument("--no-shor", action="store_true", dest="no_shor")
-    parser.add_argument("--no-turbo", action="store_true", dest="no_turbo")
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand that runs a SweepSpec."""
+    parser.add_argument("--config", help=_CONFIG_HELP)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="CSV output path")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes (default: QTSIM_THREADS, else 1)")
     parser.add_argument("--timing", action="store_true",
                         help="record wall-clock ms per point (breaks byte-stable output)")
-    parser.add_argument("--zeta", type=float, default=None, help="Rician factor")
-    parser.add_argument("--p0", type=float, default=None)
-    parser.add_argument("--d", type=float, default=None)
-    parser.add_argument("--coherence", choices=("per_symbol", "per_frame"), default=None)
-    parser.add_argument("--block-length", type=int, default=None, dest="block_length")
-    parser.add_argument("--iterations", type=int, default=None)
-    parser.add_argument("--decoder", choices=("log_map", "max_log_map"), default=None)
+
+
+def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the eavesdropper, Shor protection and the classical link."""
+    parser.add_argument("--eve", type=parse_eve, default=NO_EVE,
+                        help="none | swap:frac | boost:delta")
+    parser.add_argument("--no-shor", action="store_true")
+    parser.add_argument("--no-turbo", action="store_true")
+    parser.add_argument("--zeta", type=float, default=10.0, help="Rician factor")
+    parser.add_argument("--p0", type=float, default=1.0)
+    parser.add_argument("--d", type=float, default=1.0)
+    parser.add_argument("--coherence", choices=("per_symbol", "per_frame"), default="per_symbol")
+    parser.add_argument("--block-length", type=int, default=1024)
+    parser.add_argument("--iterations", type=int, default=8)
+    parser.add_argument("--decoder", choices=("log_map", "max_log_map"), default="log_map")
+
+
+def _add_axis_flags(parser: argparse.ArgumentParser, default_p_eq: tuple[float, ...]) -> None:
+    parser.add_argument("--p-eq", dest="p_eq_list", type=_floats, default=default_p_eq,
+                        help="comma list of channel error probabilities")
+    parser.add_argument("--axis-convention", choices=("total", "per_pauli"), default="total",
+                        help="shor_curve reading of --p-eq: total P_eq or per-Pauli p_e")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qtsim", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_sweep = sub.add_parser("sweep", help="run a curve sweep")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default=None)
-    p_sweep.add_argument("--snr-grid", dest="snr_grid_db", default=None,
+    _add_run_flags(p_sweep)
+    _add_channel_flags(p_sweep)
+    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default="qber_vs_snr")
+    p_sweep.add_argument("--trials", type=int, default=None,
+                         help="per point (default: 1000 for teleport_demo, "
+                              "1 session for qsdc_batch, else 100000)")
+    p_sweep.add_argument("--snr-grid", dest="snr_grid_db", type=_floats, default=(math.inf,),
                          help="comma list of Es/N0 points in dB "
                               "(write --snr-grid=-2,0 when the list starts negative)")
-    p_sweep.add_argument("--p-eq", dest="p_eq_list", default=None,
-                         help="comma list of channel error probabilities")
-    p_sweep.add_argument("--use-shor", action="store_true", dest="use_shor")
-    p_sweep.add_argument("--bypass-ber", type=float, default=None, dest="bypass_ber")
-    p_sweep.add_argument("--axis-convention", choices=("total", "per_pauli"),
-                         default=None, dest="axis_convention")
+    _add_axis_flags(p_sweep, (0.0,))
+    p_sweep.add_argument("--use-shor", action="store_true")
+    p_sweep.add_argument("--bypass-ber", type=float, default=None)
 
     p_qsdc = sub.add_parser("qsdc", help="run protocol sessions")
-    _add_common(p_qsdc)
-    p_qsdc.add_argument("-n", "--pairs", type=int, default=None, dest="n_pairs")
-    p_qsdc.add_argument("-m", "--virtual", type=int, default=None, dest="m_virtual")
+    _add_run_flags(p_qsdc)
+    _add_channel_flags(p_qsdc)
+    p_qsdc.add_argument("-n", "--pairs", type=int, default=16, dest="n_pairs")
+    p_qsdc.add_argument("-m", "--virtual", type=int, default=100, dest="m_virtual")
     p_qsdc.add_argument("--threshold", type=float, default=None)
-    p_qsdc.add_argument("--sessions", type=int, default=None)
-    p_qsdc.add_argument("--payload", type=int, default=None,
+    p_qsdc.add_argument("--sessions", type=int, default=1)
+    p_qsdc.add_argument("--payload", type=int, default=0,
                         help="random payload qubits per session")
-    p_qsdc.add_argument("--p-e", type=float, default=None, dest="p_eq",
+    p_qsdc.add_argument("--p-e", type=float, default=0.0, dest="p_eq",
                         help="channel depolarization probability")
-    p_qsdc.add_argument("--snr-db", type=float, default=None, dest="snr_db")
-    p_qsdc.add_argument("--trace", default=None,
-                        help="write a per-pair trace file (runs sessions serially)")
+    p_qsdc.add_argument("--snr-db", type=float, default=math.inf)
+    p_qsdc.add_argument("--trace", default=None, help="write a per-pair trace file")
 
     p_demo = sub.add_parser("teleport-demo", help="teleport a few qubits")
-    _add_common(p_demo)
-    p_demo.add_argument("--p-e", type=float, default=None, dest="p_eq")
-    p_demo.add_argument("--snr-db", type=float, default=None, dest="snr_db")
+    p_demo.add_argument("--config", help=_CONFIG_HELP)
+    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--trials", type=_positive_int, default=8)
+    p_demo.add_argument("--p-e", type=float, default=0.0, dest="p_eq")
 
     p_shor = sub.add_parser("shor-curve", help="decoded-error curve")
-    _add_common(p_shor)
-    p_shor.add_argument("--p-eq", dest="p_eq_list", default=None,
-                        help="comma list of channel probabilities")
-    p_shor.add_argument("--axis-convention", choices=("total", "per_pauli"),
-                        default=None, dest="axis_convention")
+    _add_run_flags(p_shor)
+    p_shor.add_argument("--trials", type=int, default=1_000_000)
+    _add_axis_flags(p_shor, (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.105, 0.15, 0.2))
 
-    p_self = sub.add_parser("selftest", help="fast invariant suite")
-    _add_common(p_self)
+    sub.add_parser("selftest", help="fast invariant suite")
     return parser
 
 
-def _get(args, name, cast, default):
-    value = getattr(args, name, None)
-    if value is None:
-        return default
-    return cast(value) if isinstance(value, str) else value
+def _flag_tokens(parser: argparse.ArgumentParser, values: dict[str, str]) -> list[str]:
+    """``--flag=value`` tokens for ``dest=value`` pairs of ``parser``'s flags.
+
+    A store_true flag takes a boolean value and gives its bare flag if true.
+    """
+    flags = {
+        action.dest: action for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    tokens = []
+    for key, value in values.items():
+        action = flags.get(key)
+        if action is None:
+            raise CliConfigError(
+                f"{parser.prog} reads no {key!r}; its keys are {', '.join(sorted(flags))}"
+            )
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in _TRUE:
+            tokens.append(flag)
+        elif value.lower() not in _FALSE:
+            raise CliConfigError(f"{key}={value}: expected true/false, 1/0, yes/no or on/off")
+    return tokens
 
 
-def _rician(args) -> RicianParams:
-    return RicianParams(
-        p0=_get(args, "p0", float, 1.0),
-        d=_get(args, "d", float, 1.0),
-        zeta=_get(args, "zeta", float, 10.0),
+def parse_command(parser: _Parser, argv=None) -> argparse.Namespace:
+    """Parse argv, with QTSIM_THREADS and then --config read as flags in front of it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    values, sources = {}, []
+    if "QTSIM_THREADS" in os.environ and hasattr(args, "threads"):
+        values["threads"] = os.environ["QTSIM_THREADS"]
+        sources.append("QTSIM_THREADS")
+    if getattr(args, "config", None):
+        values.update(load_config(args.config))
+        sources.append(args.config)
+    if not values:
+        return args
+    tokens = _flag_tokens(parser.commands[args.command], values)
+    try:  # argv alone parsed, so a failure comes from the tokens
+        return parser.parse_args(argv[:1] + tokens + argv[1:])
+    except CliConfigError as exc:
+        raise CliConfigError(f"{exc} (read from {' and '.join(sources)})") from exc
+
+
+def _run_fields(args) -> dict:
+    return dict(seed=args.seed, output_path=args.out, threads=args.threads, timing=args.timing)
+
+
+def _channel_fields(args) -> dict:
+    return dict(
+        eve=args.eve,
+        rician=RicianParams(p0=args.p0, d=args.d, zeta=args.zeta),
+        coherence=args.coherence,
+        turbo=TurboConfig(
+            block_length=args.block_length, iterations=args.iterations, decoder=args.decoder,
+        ),
+        use_turbo=not args.no_turbo,
     )
 
 
-def _turbo(args) -> TurboConfig:
-    return TurboConfig(
-        block_length=_get(args, "block_length", int, 1024),
-        interleaver_seed=_get(args, "interleaver_seed", int, 1),
-        iterations=_get(args, "iterations", int, 8),
-        decoder=_get(args, "decoder", str, "log_map"),
-    )
-
-
-def _as_bool(value) -> bool:
-    if isinstance(value, str):
-        return value.lower() in ("1", "true", "yes", "on")
-    return bool(value)
-
-
-def _spec_from_args(args, kind: str, use_shor_default: bool = False) -> SweepSpec:
-    default_trials = {"teleport_demo": 1000, "qsdc_batch": 1}.get(kind, 100_000)
-    eve = parse_eve(args.eve) if getattr(args, "eve", None) else NO_EVE
-    use_shor = _get(args, "use_shor", _as_bool, use_shor_default)
-    if _get(args, "no_shor", _as_bool, False):
-        use_shor = False
+def _sweep_spec(args) -> SweepSpec:
+    """The SweepSpec of a parsed ``sweep``, ``qsdc`` or ``shor-curve`` command."""
+    if args.command == "sweep":
+        trials = _SWEEP_TRIALS.get(args.kind, 100_000) if args.trials is None else args.trials
+        return SweepSpec(
+            args.kind, snr_grid_db=args.snr_grid_db, p_eq_list=args.p_eq_list,
+            trials_per_point=trials, use_shor=args.use_shor and not args.no_shor,
+            classical_bypass_ber=args.bypass_ber, axis_convention=args.axis_convention,
+            **_run_fields(args), **_channel_fields(args),
+        )
+    if args.command == "qsdc":
+        return SweepSpec(
+            "qsdc_batch", snr_grid_db=(args.snr_db,), p_eq_list=(args.p_eq,),
+            trials_per_point=args.sessions, use_shor=not args.no_shor,
+            n_pairs=args.n_pairs, m_virtual=args.m_virtual, threshold=args.threshold,
+            payload_per_session=args.payload, **_run_fields(args), **_channel_fields(args),
+        )
     return SweepSpec(
-        sweep_kind=kind,
-        snr_grid_db=_floats(args.snr_grid_db) if getattr(args, "snr_grid_db", None)
-        else (_get(args, "snr_db", float, math.inf),),
-        p_eq_list=_floats(args.p_eq_list) if getattr(args, "p_eq_list", None)
-        else (_get(args, "p_eq", float, 0.0),),
-        trials_per_point=_get(args, "trials", int, default_trials),
-        seed=_get(args, "seed", int, 0),
-        output_path=getattr(args, "out", None),
-        threads=_get(args, "threads", int, int(os.environ.get("QTSIM_THREADS", "1"))),
-        rician=_rician(args),
-        turbo=_turbo(args),
-        eve=eve,
-        use_turbo=not _get(args, "no_turbo", _as_bool, False),
-        use_shor=use_shor,
-        coherence=_get(args, "coherence", str, "per_symbol"),
-        classical_bypass_ber=_get(args, "bypass_ber", float, None),
-        axis_convention=_get(args, "axis_convention", str, "total"),
-        n_pairs=_get(args, "n_pairs", int, 16),
-        m_virtual=_get(args, "m_virtual", int, 100),
-        threshold=_get(args, "threshold", float, None),
-        payload_per_session=_get(args, "payload", int, 0),
-        timing=bool(getattr(args, "timing", False)),
+        "shor_curve", p_eq_list=args.p_eq_list, trials_per_point=args.trials,
+        axis_convention=args.axis_convention, **_run_fields(args),
     )
 
 
-def _emit_sweep(spec: SweepSpec) -> int:
+def _cmd_sweep(args) -> int:
     """Run a curve sweep; print its CSV unless run_sweep wrote it to a file."""
+    spec = _sweep_spec(args)
     rows = run_sweep(spec)
     if not spec.output_path:
         sys.stdout.write(render_csv(spec, rows))
@@ -236,41 +270,9 @@ def _emit_sweep(spec: SweepSpec) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    return _emit_sweep(_spec_from_args(args, _get(args, "kind", str, "qber_vs_snr")))
-
-
-def _run_traced_sessions(spec: SweepSpec, trace_path: str) -> list[dict]:
-    from .qsdc import resolve_threshold
-    from .sweeps import _session_cfg, run_session_row
-
-    cfg = _session_cfg(spec, spec.p_eq_list[0], spec.snr_grid_db[0])
-    threshold = resolve_threshold(cfg)
-    rows = []
-    try:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write("# session attempt kind pair bit_a bit_b ok\n")
-            for sid in range(spec.trials_per_point):
-                report, row = run_session_row(spec, cfg, sid, threshold, collect_trace=True)
-                for attempt, kind, pos, b1, b2, ok in report.pair_trace:
-                    fh.write(f"{sid} {attempt} {kind} {pos} {b1} {b2} {ok}\n")
-                rows.append(row)
-    except OSError as exc:
-        raise SweepIOError(str(exc)) from exc
-    return rows
-
-
 def _cmd_qsdc(args) -> int:
-    sessions = _get(args, "sessions", int, 1)
-    spec = _spec_from_args(args, "qsdc_batch", use_shor_default=True)
-    spec = dataclasses.replace(spec, trials_per_point=sessions)
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        rows = _run_traced_sessions(spec, trace_path)
-        if spec.output_path:
-            write_csv(spec, rows)
-    else:
-        rows = run_sweep(spec)
+    spec = _sweep_spec(args)
+    rows = run_sweep(spec, trace_path=args.trace)
     n_abort = sum(1 for r in rows if r["decision"] == "abort")
     mean_vq = float(np.mean([r["virtual_qber"] for r in rows]))
     for row in rows[: min(len(rows), 10)]:
@@ -290,19 +292,15 @@ def _cmd_qsdc(args) -> int:
 
 
 def _cmd_teleport_demo(args) -> int:
+    from .qchannel import sample_pauli
     from .qstate import random_state
     from .teleport import teleport_once
 
-    trials = _get(args, "trials", int, 8)
-    seed = _get(args, "seed", int, 0)
-    p_eq = _get(args, "p_eq", float, 0.0)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDE40)))
-    depol = DepolarizingParams.from_total(p_eq)
-    from .qchannel import sample_pauli
-
-    print(f"teleporting {trials} random qubits (P_eq={p_eq}, seed={seed})")
+    rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xDE40)))
+    depol = DepolarizingParams.from_total(args.p_eq)
+    print(f"teleporting {args.trials} random qubits (P_eq={args.p_eq}, seed={args.seed})")
     n_exact = 0
-    for t in range(trials):
+    for t in range(args.trials):
         psi = random_state(1, rng)
         result = teleport_once(psi, pauli_on_pair=sample_pauli(depol, rng), rng=rng)
         n_exact += not result.is_error
@@ -310,16 +308,8 @@ def _cmd_teleport_demo(args) -> int:
             f"  qubit {t}: outcome=({result.outcome.m1},{result.outcome.m2}) "
             f"fidelity={result.fidelity_to_input:.9f}"
         )
-    print(f"exact reconstructions: {n_exact}/{trials}")
+    print(f"exact reconstructions: {n_exact}/{args.trials}")
     return EXIT_OK
-
-
-def _cmd_shor_curve(args) -> int:
-    if getattr(args, "p_eq_list", None) is None:
-        args.p_eq_list = "0.001,0.002,0.005,0.01,0.02,0.05,0.105,0.15,0.2"
-    if getattr(args, "trials", None) is None:
-        args.trials = 1_000_000
-    return _emit_sweep(_spec_from_args(args, "shor_curve"))
 
 
 def _cmd_selftest(args) -> int:
@@ -336,14 +326,12 @@ def _cmd_selftest(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args, load_config(args.config))
+        args = parse_command(parser, argv)
         handler = {
             "sweep": _cmd_sweep,
             "qsdc": _cmd_qsdc,
             "teleport-demo": _cmd_teleport_demo,
-            "shor-curve": _cmd_shor_curve,
+            "shor-curve": _cmd_sweep,
             "selftest": _cmd_selftest,
         }[args.command]
         return handler(args)

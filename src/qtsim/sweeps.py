@@ -24,7 +24,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,15 +33,8 @@ from .link import send_bits
 from .metrics import MetricAccumulator
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
 from .qsdc import QsdcConfig, resolve_threshold, run_session
-from .qstate import PHI_PLUS, apply_gate, apply_pauli, basis_state, make_bell, random_state
+from .qstate import random_state
 from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
-from .teleport import (
-    DEFAULT_TEST_STATE,
-    ERROR_FIDELITY_TOL,
-    PAULI_FROM_FLAGS,
-    BellOutcome,
-    receiver_correct,
-)
 from .turbo import TurboConfig
 
 SWEEP_KINDS = ("classical_ber", "qber_vs_snr", "shor_curve", "qsdc_batch", "teleport_demo")
@@ -85,7 +78,6 @@ class SweepSpec:
     use_shor: bool = False
     coherence: str = "per_symbol"
     classical_bypass_ber: float | None = None
-    random_payload: bool = False
     axis_convention: str = "total"  # decoded-error-curve x-axis reading
     n_pairs: int = 16
     m_virtual: int = 100
@@ -98,9 +90,16 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.sweep_kind!r}")
         if not self.snr_grid_db or not self.p_eq_list:
             raise ValueError("sweep grids must be nonempty")
-        bad = [p for p in self.p_eq_list if not 0.0 <= p <= 1.0]
+        # a per-Pauli axis value p_e means a total error rate of 3 p_e
+        per_pauli = self.sweep_kind == "shor_curve" and self.axis_convention == "per_pauli"
+        p_max = 1.0 / 3.0 if per_pauli else 1.0
+        bad = [p for p in self.p_eq_list if not 0.0 <= p <= p_max]
         if bad:
-            raise ValueError(f"p_eq values must lie in [0, 1], got {bad}")
+            raise ValueError(f"p_eq values must lie in [0, {p_max:.4g}], got {bad}")
+        if self.sweep_kind == "qsdc_batch" and len(self.snr_grid_db) * len(self.p_eq_list) > 1:
+            raise ValueError("a qsdc_batch runs at one snr_db and one p_eq")
+        if self.payload_per_session < 0:
+            raise ValueError("payload_per_session must be >= 0")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
         if self.sweep_kind in _STATISTICAL_KINDS and self.trials_per_point < 1000:
@@ -191,66 +190,17 @@ def _classical_point(spec: SweepSpec, snr_db: float, i_snr: int) -> list[dict]:
 # qber_vs_snr / teleport_demo: teleportation with noisy pre-shared pairs
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _teleport_tables():
-    """Protocol-path matrices for the batched teleport kernel.
-
-    Everything is derived by driving the protocol modules themselves, so the
-    batched kernel cannot drift from the per-trial path: pair variants come
-    from apply_pauli on a Bell pair, the sender unitary from apply_gate, the
-    correction matrices from receiver_correct.
-    """
-    clean = make_bell(PHI_PLUS)
-    pair_stack = np.stack(
-        [apply_pauli(clean, 1, PAULI_FROM_FLAGS[(x, z)]).amplitudes
-         for z in (0, 1) for x in (0, 1)]
-    )  # indexed by x + 2*z
-
-    sender = np.empty((8, 8), dtype=complex)
-    for i in range(8):
-        col = apply_gate(apply_gate(basis_state(3, i), "CNOT", (0, 1)), "H", 0)
-        sender[:, i] = col.amplitudes
-
-    corrections = np.empty((4, 2, 2), dtype=complex)
-    for o in range(4):
-        outcome = BellOutcome(o >> 1, o & 1)
-        for i in range(2):
-            corrections[o, :, i] = receiver_correct(
-                basis_state(1, i), outcome
-            ).amplitudes
-    return pair_stack, sender, corrections
-
-
 def _teleport_batch(spec: SweepSpec, snr_db: float, rng, x_flip, z_flip):
     """Vectorized teleport trials over pairs with the given (x, z) frame flags.
 
-    Exact Born sampling on stacked amplitudes, one trial per flag.
+    Judged by Pauli frame, as ``teleport.frame_teleport_exact`` judges one
+    trial: the sender's outcome is uniform whatever the frame, and the
+    payload (``DEFAULT_TEST_STATE``, which every Pauli mismatch corrupts) is
+    exact iff the frame times the classical bit errors is I, where a flipped
+    m1 adds Z and a flipped m2 adds X.
     """
-    pair_stack, sender, corrections = _teleport_tables()
     n_trials = len(x_flip)
-    pair_idx = x_flip.astype(np.int8) + 2 * z_flip.astype(np.int8)
-    pairs = pair_stack[pair_idx]  # (N, 4)
-
-    if spec.random_payload:
-        raw = rng.normal(size=(n_trials, 2)) + 1j * rng.normal(size=(n_trials, 2))
-        psis = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    else:
-        psis = np.broadcast_to(DEFAULT_TEST_STATE.amplitudes, (n_trials, 2))
-    joint = (psis[:, :, None] * pairs[:, None, :]).reshape(n_trials, 8)
-
-    amps = joint @ sender.T
-    grouped = amps.reshape(n_trials, 4, 2)
-    probs = np.abs(grouped) ** 2
-    outcome_probs = probs.sum(axis=2)
-    u = rng.random(n_trials)
-    outcomes = np.minimum(
-        (u[:, None] >= np.cumsum(outcome_probs, axis=1)).sum(axis=1), 3
-    )
-    rows = np.arange(n_trials)
-    residual = grouped[rows, outcomes, :] / np.sqrt(
-        outcome_probs[rows, outcomes]
-    )[:, None]
-
+    outcomes = np.minimum((4.0 * rng.random(n_trials)).astype(np.int8), 3)
     bits = np.empty(2 * n_trials, dtype=np.int8)
     bits[0::2] = outcomes >> 1
     bits[1::2] = outcomes & 1
@@ -259,12 +209,9 @@ def _teleport_batch(spec: SweepSpec, snr_db: float, rng, x_flip, z_flip):
         turbo_cfg=spec.turbo if spec.use_turbo else None,
         bypass_ber=spec.classical_bypass_ber, coherence=spec.coherence,
     )
-    recv_outcomes = (received[0::2].astype(np.int64) << 1) | received[1::2]
-    final = np.einsum("nij,nj->ni", corrections[recv_outcomes], residual)
-    fid = np.abs(np.einsum("ni,ni->n", np.conj(psis), final)) ** 2
-    qubit_errors = int(np.count_nonzero(fid < 1.0 - ERROR_FIDELITY_TOL))
-    bit_errors = int(np.count_nonzero(bits != received))
-    return qubit_errors, n_trials, bit_errors, 2 * n_trials
+    flipped = bits != received
+    wrong = (x_flip != flipped[1::2]) | (z_flip != flipped[0::2])
+    return int(np.count_nonzero(wrong)), n_trials, int(np.count_nonzero(flipped)), 2 * n_trials
 
 
 def _qber_chunk(job) -> tuple[int, int, int, int]:
@@ -318,16 +265,16 @@ def _shor_point(spec: SweepSpec, p_axis: float, i_p: int) -> list[dict]:
 # qsdc_batch: one protocol session per trial index
 # ---------------------------------------------------------------------------
 
-def _session_cfg(spec: SweepSpec, p_eq: float, snr_db: float) -> QsdcConfig:
+def _session_cfg(spec: SweepSpec) -> QsdcConfig:
     return QsdcConfig(
         n_pairs=spec.n_pairs,
         m_virtual=spec.m_virtual,
         threshold=spec.threshold,
-        depol=DepolarizingParams.from_total(p_eq),
+        depol=DepolarizingParams.from_total(spec.p_eq_list[0]),
         eve=spec.eve,
         turbo=spec.turbo,
         rician=spec.rician,
-        snr_db=snr_db,
+        snr_db=spec.snr_grid_db[0],
         seed=spec.seed,
         use_shor=spec.use_shor,
         use_turbo=spec.use_turbo,
@@ -342,54 +289,54 @@ def session_payload(spec: SweepSpec, session_id: int):
     return [random_state(1, payload_rng) for _ in range(spec.payload_per_session)]
 
 
-def run_session_row(
-    spec: SweepSpec, cfg: QsdcConfig, session_id: int, threshold: float,
-    collect_trace: bool = False,
-):
-    """Run one session of a batch; returns its report and its CSV row."""
-    t0 = time.perf_counter()
-    report = run_session(
-        cfg, session_id=session_id, payload=session_payload(spec, session_id),
-        collect_trace=collect_trace,
-    )
-    return report, {
-        "sweep_kind": "qsdc_batch",
-        "session_id": session_id,
-        "decision": report.decision,
-        "virtual_qber": report.virtual_qber,
-        "payload_qber": report.payload_qber,
-        "classical_ber": report.classical_ber,
-        "attempts": report.attempts,
-        "n_pairs": spec.n_pairs,
-        "m_virtual": spec.m_virtual,
-        "threshold": threshold,
-        "p_eq": spec.p_eq_list[0],
-        "eve_mode": spec.eve.mode,
-        "seed": spec.seed,
-        "wall_ms": _elapsed_ms(t0) if spec.timing else 0,
-        "error": "",
-    }
-
-
-def _session_chunk(job) -> list[dict]:
-    spec, p_eq, snr_db, session_ids = job
-    cfg = _session_cfg(spec, p_eq, snr_db)
+def _session_chunk(job) -> list[tuple[dict, tuple]]:
+    """(CSV row, pair trace) per session; the trace is empty unless collected."""
+    spec, session_ids, collect_trace = job
+    cfg = _session_cfg(spec)
     threshold = resolve_threshold(cfg)
-    return [run_session_row(spec, cfg, sid, threshold)[1] for sid in session_ids]
+    sessions = []
+    for sid in session_ids:
+        t0 = time.perf_counter()
+        report = run_session(
+            cfg, session_id=sid, payload=session_payload(spec, sid),
+            collect_trace=collect_trace,
+        )
+        row = {
+            "sweep_kind": "qsdc_batch",
+            "session_id": sid,
+            "decision": report.decision,
+            "virtual_qber": report.virtual_qber,
+            "payload_qber": report.payload_qber,
+            "classical_ber": report.classical_ber,
+            "attempts": report.attempts,
+            "n_pairs": spec.n_pairs,
+            "m_virtual": spec.m_virtual,
+            "threshold": threshold,
+            "p_eq": spec.p_eq_list[0],
+            "eve_mode": spec.eve.mode,
+            "seed": spec.seed,
+            "wall_ms": _elapsed_ms(t0) if spec.timing else 0,
+            "error": "",
+        }
+        sessions.append((row, report.pair_trace))
+    return sessions
 
 
-def _qsdc_points(spec: SweepSpec) -> list[dict]:
-    p_eq = spec.p_eq_list[0]
-    snr_db = spec.snr_grid_db[0]
-    ids = list(range(spec.trials_per_point))
+def _qsdc_points(spec: SweepSpec, trace_path: str | None) -> list[dict]:
+    ids = range(spec.trials_per_point)
     jobs = [
-        (spec, p_eq, snr_db, ids[i : i + SESSION_CHUNK])
+        (spec, ids[i : i + SESSION_CHUNK], trace_path is not None)
         for i in range(0, len(ids), SESSION_CHUNK)
     ]
-    rows: list[dict] = []
-    for chunk_rows in _run_chunks(spec, _session_chunk, jobs):
-        rows.extend(chunk_rows)
-    return rows
+    sessions = [s for chunk in _run_chunks(spec, _session_chunk, jobs) for s in chunk]
+    if trace_path is not None:
+        lines = ["# session attempt kind pair bit_a bit_b ok\n"]
+        lines += [
+            f"{row['session_id']} {' '.join(str(v) for v in pair)}\n"
+            for row, trace in sessions for pair in trace
+        ]
+        _write_text(trace_path, "".join(lines))
+    return [row for row, _ in sessions]
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +402,16 @@ def _grid_points(spec: SweepSpec) -> list[tuple]:
     ]
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Run every grid point, optionally writing the CSV to spec.output_path."""
+def run_sweep(spec: SweepSpec, trace_path: str | None = None) -> list[dict]:
+    """Run every grid point, optionally writing the CSV to spec.output_path.
+
+    With ``trace_path`` (qsdc_batch only), every measured pair of every
+    session is written there as one line, in session order.
+    """
+    if trace_path is not None and spec.sweep_kind != "qsdc_batch":
+        raise ValueError("a pair trace needs sweep kind qsdc_batch")
     if spec.sweep_kind == "qsdc_batch":
-        rows = _qsdc_points(spec)
+        rows = _qsdc_points(spec, trace_path)
     else:
         rows = []
         for snr_db, p_eq, run in _grid_points(spec):
@@ -473,15 +426,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                     row["wall_ms"] = ms
             rows.extend(point_rows)
     if spec.output_path:
-        write_csv(spec, rows)
+        _write_text(spec.output_path, render_csv(spec, rows))
     return rows
 
 
-def write_csv(spec: SweepSpec, rows: list[dict]) -> None:
-    """Write the rendered CSV to ``spec.output_path``; SweepIOError if it cannot."""
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; SweepIOError if it cannot."""
     try:
-        with open(spec.output_path, "w", encoding="utf-8") as fh:
-            fh.write(render_csv(spec, rows))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise SweepIOError(str(exc)) from exc
 

@@ -1,28 +1,29 @@
 """Sweep engine and CLI: schemas, determinism, audits, exit codes."""
 import csv
 import dataclasses
-import io
+import itertools
 import math
-import os
 import pathlib
 import shlex
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtsim.cli import build_parser, main, parse_eve
+import qtsim.sweeps as sweeps_mod
+from qtsim.cli import _sweep_spec, build_parser, main, parse_command, parse_eve
 from qtsim.metrics import wilson_interval
-from qtsim.qchannel import DepolarizingParams, EveModel
-from qtsim.qstate import PauliError, StateVector, basis_state, fidelity
+from qtsim.qchannel import DepolarizingParams
 from qtsim.sweeps import (
     SESSION_COLUMNS,
     SWEEP_COLUMNS,
+    SWEEP_KINDS,
     SweepSpec,
-    _teleport_tables,
     render_csv,
     run_sweep,
 )
-from qtsim.teleport import DEFAULT_TEST_STATE, BellOutcome, receiver_correct, teleport_once
+from qtsim.teleport import DEFAULT_TEST_STATE, PAULI_FROM_FLAGS, teleport_once
 from qtsim.turbo import TurboConfig
 
 
@@ -35,43 +36,42 @@ def _parse(text: str):
 # batched kernel is pinned to the protocol modules
 # ---------------------------------------------------------------------------
 
-def test_teleport_tables_match_protocol_path():
-    """Every (pair error, outcome, received) combination agrees exactly.
+def test_teleport_batch_matches_protocol_path(monkeypatch):
+    """Every (pair frame, classical error) combination agrees with teleport_once.
 
-    The batched kernel's final state is C[received] @ (collapsed residual);
-    teleport_once with a scripted outcome must produce the same fidelity.
+    The kernel's link is replaced by one that flips the chosen bits of every
+    trial; teleport_once runs under each of the four sender outcomes.
     """
-    pair_stack, sender, corrections = _teleport_tables()
-    psi = DEFAULT_TEST_STATE
-    for flags, pauli in [((0, 0), PauliError.I), ((1, 0), PauliError.X),
-                         ((0, 1), PauliError.Z), ((1, 1), PauliError.Y)]:
-        pair_idx = flags[0] + 2 * flags[1]
-        joint = np.kron(psi.amplitudes, pair_stack[pair_idx])
-        amps = (sender @ joint).reshape(4, 2)
-        probs = (np.abs(amps) ** 2).sum(axis=1)
-        assert np.allclose(probs, 0.25, atol=1e-12)
-        for outcome in range(4):
-            residual = amps[outcome] / np.sqrt(probs[outcome])
-            for received in range(4):
-                final = corrections[received] @ residual
-                fid_fast = abs(np.vdot(psi.amplitudes, final)) ** 2
+    class _Force:
+        def __init__(self, m1, m2):
+            self._bits = [m1, m2]
 
-                class _Force:
-                    def __init__(self, m1, m2):
-                        self._bits = [m1, m2]
+        def random(self):
+            return 0.1 if self._bits.pop(0) else 0.9
 
-                    def random(self):
-                        return 0.1 if self._bits.pop(0) else 0.9
+    n = 64
+    spec = SweepSpec(sweep_kind="qber_vs_snr", use_turbo=False)
+    for (x, z), pauli in PAULI_FROM_FLAGS.items():
+        for error in itertools.product((0, 1), repeat=2):
+            sent = []
 
-                error = (outcome >> 1) ^ (received >> 1), (outcome & 1) ^ (received & 1)
-                result = teleport_once(
-                    psi, classical_error=error, pauli_on_pair=pauli,
-                    rng=_Force(outcome >> 1, outcome & 1),
-                )
-                assert (result.outcome.m1, result.outcome.m2) == (outcome >> 1, outcome & 1)
-                assert result.fidelity_to_input == pytest.approx(
-                    min(1.0, fid_fast), abs=1e-12
-                )
+            def flip(bits, rng, error=error, **link):
+                sent.append(bits.copy())
+                return bits ^ np.tile(np.array(error, dtype=np.int8), n)
+
+            monkeypatch.setattr(sweeps_mod, "send_bits", flip)
+            counts = sweeps_mod._teleport_batch(
+                spec, 0.0, np.random.default_rng(1), np.full(n, bool(x)), np.full(n, bool(z))
+            )
+            verdicts = {
+                teleport_once(DEFAULT_TEST_STATE, classical_error=error,
+                              pauli_on_pair=pauli, rng=_Force(m1, m2)).is_error
+                for m1 in (0, 1) for m2 in (0, 1)
+            }
+            assert len(verdicts) == 1  # the verdict does not depend on the outcome
+            assert counts == (n * verdicts.pop(), n, n * sum(error), 2 * n)
+            outcomes = 2 * sent[0][0::2] + sent[0][1::2]
+            assert set(outcomes.tolist()) == {0, 1, 2, 3}
 
 
 def test_fast_and_slow_qber_paths_agree_statistically():
@@ -404,3 +404,204 @@ def test_env_var_sets_default_threads(tmp_path, monkeypatch):
         "sweep", "--kind", "teleport_demo", "--trials", "100", "--out", str(out),
     ]) == 0
     assert out.exists()
+
+
+# ---------------------------------------------------------------------------
+# one config path: a --config file is read as the subcommand's own flags
+# ---------------------------------------------------------------------------
+
+def _floats_text(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _float_list_text(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=3).map(
+        lambda values: ",".join(map(repr, values))
+    )
+
+
+_BOOLEAN = st.sampled_from(["true", "false", "1", "0", "yes", "no", "on", "off", "TRUE", "Off"])
+_RUN_VALUES = {
+    "seed": st.integers(0, 2**32).map(str),
+    "out": st.sampled_from(["a.csv", "dir/b.csv"]),
+    "threads": st.integers(1, 4).map(str),
+    "timing": _BOOLEAN,
+}
+_CHANNEL_VALUES = {
+    "eve": st.sampled_from(["none", "swap", "swap:0.25", "boost", "boost:0.3"]),
+    "no_shor": _BOOLEAN,
+    "no_turbo": _BOOLEAN,
+    "zeta": _floats_text(0.0, 50.0),
+    "p0": _floats_text(0.1, 10.0),
+    "d": _floats_text(0.1, 10.0),
+    "coherence": st.sampled_from(["per_symbol", "per_frame"]),
+    "block_length": st.integers(40, 4096).map(str),
+    "iterations": st.integers(1, 16).map(str),
+    "decoder": st.sampled_from(["log_map", "max_log_map"]),
+}
+_AXIS_VALUES = {
+    "p_eq_list": _float_list_text(0.0, 0.3),
+    "axis_convention": st.sampled_from(["total", "per_pauli"]),
+}
+# Values each subcommand's flags accept, keyed by flag dest (= config key).
+_FLAG_VALUES = {
+    "sweep": {
+        **_RUN_VALUES, **_CHANNEL_VALUES, **_AXIS_VALUES,
+        "kind": st.sampled_from(SWEEP_KINDS),
+        "trials": st.integers(1000, 10**6).map(str),
+        "snr_grid_db": _float_list_text(-10.0, 20.0),
+        "use_shor": _BOOLEAN,
+        "bypass_ber": _floats_text(0.0, 0.5),
+    },
+    "qsdc": {
+        **_RUN_VALUES, **_CHANNEL_VALUES,
+        "n_pairs": st.integers(0, 64).map(str),
+        "m_virtual": st.integers(20, 400).map(str),
+        "threshold": _floats_text(0.01, 0.99),
+        "sessions": st.integers(1, 100).map(str),
+        "payload": st.integers(0, 16).map(str),
+        "p_eq": _floats_text(0.0, 1.0),
+        "snr_db": _floats_text(-10.0, 20.0),
+        "trace": st.sampled_from(["trace.txt"]),
+    },
+    "shor-curve": {
+        **_RUN_VALUES, **_AXIS_VALUES,
+        "trials": st.integers(1000, 10**7).map(str),
+    },
+    "teleport-demo": {
+        "seed": st.integers(0, 2**32).map(str),
+        "trials": st.integers(1, 100).map(str),
+        "p_eq": _floats_text(0.0, 1.0),
+    },
+}
+_BOOLEAN_FLAGS = {"timing", "no_shor", "no_turbo", "use_shor"}
+
+
+def _parsed(argv):
+    """Parsed flags (without --config) and the SweepSpec, or its error."""
+    args = parse_command(build_parser(), argv)
+    flags = {k: v for k, v in vars(args).items() if k != "config"}
+    if args.command == "teleport-demo":
+        return flags, None
+    try:
+        return flags, _sweep_spec(args)
+    except ValueError as exc:
+        return flags, repr(exc)
+
+
+@pytest.mark.parametrize("command", sorted(_FLAG_VALUES))
+def test_config_file_parses_as_the_same_flags(command, tmp_path, monkeypatch):
+    monkeypatch.delenv("QTSIM_THREADS", raising=False)
+    options = {
+        action.dest: action.option_strings[-1]
+        for action in build_parser().commands[command]._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    assert set(options) == set(_FLAG_VALUES[command])
+    cfg = tmp_path / "run.cfg"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({}, optional=_FLAG_VALUES[command]))
+    def check(values):
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        flags = []
+        for key, value in values.items():
+            if key not in _BOOLEAN_FLAGS:
+                flags.append(f"{options[key]}={value}")
+            elif value.lower() in ("true", "1", "yes", "on"):
+                flags.append(options[key])
+        assert _parsed([command, "--config", str(cfg)]) == _parsed([command, *flags])
+
+    check()
+
+
+def _config(tmp_path, text: str) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_config_booleans_and_negative_grid(tmp_path):
+    out = tmp_path / "out.csv"
+    cfg = _config(tmp_path, "kind=teleport_demo\ntrials=50\nno_turbo=true\nsnr_grid_db=-2,0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--trials", "60"]) == 0
+    text = out.read_text()
+    assert "use=False" in text.split("# turbo=", 1)[1].splitlines()[0]
+    assert "# snr_grid_db=-2,0" in text
+    rows = _parse(text)
+    assert [float(row["snr_db"]) for row in rows] == [-2.0, 0.0]
+    assert {row["trials"] for row in rows} == {"60"}  # the command line wins
+
+    cfg = _config(tmp_path, "kind=teleport_demo\ntrials=50\nno_turbo=off\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert "use=True" in out.read_text().split("# turbo=", 1)[1].splitlines()[0]
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep", "interleaver_seed=5\n"),  # no subcommand has this flag
+    ("qsdc", "snr_grid_db=1,2\n"),  # a sweep flag
+    ("sweep", "p_eq=0.5\n"),  # the sweep's key is p_eq_list
+    ("qsdc", "kind=qsdc_batch\n"),
+    ("teleport-demo", "eve=swap:1\n"),
+    ("sweep", "no_turbo=flase\n"),
+    ("sweep", "config=other.cfg\n"),
+    ("shor-curve", "seed=1.5\n"),
+])
+def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text):
+    assert main([command, "--config", _config(tmp_path, text)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsdc", "--trials", "5"],  # --sessions is the qsdc count
+    ["teleport-demo", "--snr-db", "0"],
+    ["teleport-demo", "--eve", "swap:1"],
+    ["teleport-demo", "--no-shor"],
+    ["selftest", "--seed", "1"],
+    ["teleport-demo", "--trials", "-1"],
+    ["qsdc", "--payload", "-1"],
+    ["sweep", "--kind", "qsdc_batch", "--p-eq", "0.1,0.2"],
+    ["sweep", "--kind", "qsdc_batch", "--snr-grid", "0,4"],
+    ["shor-curve", "--axis-convention", "per_pauli", "--p-eq", "0.5"],
+])
+def test_cli_input_that_would_be_dropped_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_bad_env_threads_exits_1(monkeypatch, capsys, value):
+    monkeypatch.setenv("QTSIM_THREADS", value)
+    build_parser()  # reads no environment
+    assert main(["sweep", "--kind", "teleport_demo", "--trials", "50"]) == 1
+    assert "threads" in capsys.readouterr().err
+
+
+def test_spec_rejects_input_it_would_drop():
+    with pytest.raises(ValueError, match="one snr_db and one p_eq"):
+        SweepSpec(sweep_kind="qsdc_batch", p_eq_list=(0.1, 0.2))
+    with pytest.raises(ValueError, match="one snr_db and one p_eq"):
+        SweepSpec(sweep_kind="qsdc_batch", snr_grid_db=(0.0, 4.0))
+    with pytest.raises(ValueError, match="payload_per_session"):
+        SweepSpec(sweep_kind="qsdc_batch", payload_per_session=-1)
+    with pytest.raises(ValueError, match="p_eq"):
+        SweepSpec(sweep_kind="shor_curve", p_eq_list=(0.34,), axis_convention="per_pauli")
+    SweepSpec(sweep_kind="shor_curve", p_eq_list=(1 / 3,), axis_convention="per_pauli")
+    SweepSpec(sweep_kind="qber_vs_snr", p_eq_list=(0.5,), axis_convention="per_pauli")
+    with pytest.raises(ValueError, match="qsdc_batch"):
+        run_sweep(SweepSpec(sweep_kind="teleport_demo", trials_per_point=10), trace_path="t.txt")
+
+
+def test_qsdc_trace_bytes_identical_across_threads(tmp_path):
+    traces = []
+    for threads in (1, 2):
+        spec = SweepSpec(
+            sweep_kind="qsdc_batch", p_eq_list=(0.05,), trials_per_point=12, seed=5,
+            n_pairs=4, m_virtual=20, use_shor=True, payload_per_session=2, threads=threads,
+        )
+        path = tmp_path / f"trace{threads}.txt"
+        rows = run_sweep(spec, trace_path=str(path))
+        traces.append(path.read_bytes())
+        assert rows == run_sweep(spec)
+    assert traces[0] == traces[1]
+    assert {int(line.split()[0]) for line in traces[0].decode().splitlines()[1:]} == set(range(12))
