@@ -29,7 +29,9 @@ import numpy as np
 
 from .cchannel import RicianParams
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
-from .sweeps import SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep
+from .sweeps import (
+    SWEEP_KIND_READS, SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep,
+)
 from .turbo import TurboConfig
 
 EXIT_OK = 0
@@ -39,7 +41,6 @@ EXIT_SELFTEST = 3
 
 _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
-_SWEEP_TRIALS = {"teleport_demo": 1000, "qsdc_batch": 1}  # else 100_000
 _CONFIG_HELP = "key=value file of flag values, keyed by flag dest names"
 
 
@@ -239,7 +240,7 @@ def _channel_fields(args) -> dict:
 def _sweep_spec(args) -> SweepSpec:
     """The SweepSpec of a parsed ``sweep``, ``qsdc`` or ``shor-curve`` command."""
     if args.command == "sweep":
-        trials = _SWEEP_TRIALS.get(args.kind, 100_000) if args.trials is None else args.trials
+        trials = SWEEP_KIND_READS[args.kind].trials if args.trials is None else args.trials
         return SweepSpec(
             args.kind, snr_grid_db=args.snr_grid_db, p_eq_list=args.p_eq_list,
             trials_per_point=trials, use_shor=args.use_shor and not args.no_shor,
@@ -273,9 +274,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_qsdc(args) -> int:
     spec = _sweep_spec(args)
     rows = run_sweep(spec, trace_path=args.trace)
-    n_abort = sum(1 for r in rows if r["decision"] == "abort")
-    mean_vq = float(np.mean([r["virtual_qber"] for r in rows]))
+    done = [r for r in rows if not r["error"]]
+    n_failed = len(rows) - len(done)
+    n_abort = sum(1 for r in done if r["decision"] == "abort")
+    mean_vq = float(np.mean([r["virtual_qber"] for r in done])) if done else math.nan
     for row in rows[: min(len(rows), 10)]:
+        if row["error"]:
+            print(f"session {row['session_id']}: error={row['error']}")
+            continue
         print(
             f"session {row['session_id']}: decision={row['decision']} "
             f"virtual_qber={row['virtual_qber']:.6g} threshold={row['threshold']:.6g}"
@@ -283,8 +289,10 @@ def _cmd_qsdc(args) -> int:
                if row["payload_qber"] not in (None, "") else "")
         )
     print(
-        f"sessions={len(rows)} aborts={n_abort} accept_rate={1 - n_abort / len(rows):.4f} "
+        f"sessions={len(rows)} aborts={n_abort} "
+        f"accept_rate={1 - (n_abort + n_failed) / len(rows):.4f} "
         f"mean_virtual_qber={mean_vq:.6g} eve={spec.eve.mode}"
+        + (f" failed={n_failed}" if n_failed else "")
     )
     if spec.output_path:
         print(f"wrote {len(rows)} rows to {spec.output_path}")

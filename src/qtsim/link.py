@@ -4,6 +4,9 @@ Shared by the protocol orchestrator and the sweep engine.  Bits are padded
 to whole turbo blocks with zeros (dropped again after decoding); the uncoded
 path hard-slices matched-filter LLRs.  ``bypass_ber`` replaces the physical
 chain with i.i.d. bit flips, which isolates quantum-side behavior in tests.
+A noiseless link (``snr_db=inf``) returns its input without running the
+chain, which would return it too; the fading draws it skips are the rng's
+last use in every caller (``tests/test_link.py`` pins this).
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ def send_bits(
     if bypass_ber is not None:
         flips = (rng.random(bits.size) < bypass_ber).astype(np.int8)
         return (bits ^ flips).astype(np.int8)
+    if snr_db == math.inf:
+        return bits.copy()
     if turbo_cfg is None:
         padded = bits if bits.size % 2 == 0 else np.append(bits, np.int8(0))
         received = transmit(qpsk_modulate(padded, snr_db), rician, rng, coherence)

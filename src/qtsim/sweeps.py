@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,31 @@ from .qstate import random_state
 from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
 from .turbo import TurboConfig
 
-SWEEP_KINDS = ("classical_ber", "qber_vs_snr", "shor_curve", "qsdc_batch", "teleport_demo")
+
+class KindReads(NamedTuple):
+    trials: int  # trials per point when the command line gives none
+    fields: tuple[str, ...]  # SweepSpec fields read besides the run fields
+
+
+_RUN_FIELDS = ("sweep_kind", "trials_per_point", "seed", "output_path", "threads", "timing")
+_LINK_FIELDS = ("snr_grid_db", "rician", "coherence", "turbo", "use_turbo")
+# qber_vs_snr and teleport_demo also accept axis_convention, though their
+# p_eq values are always total rates.
+_TELEPORT_FIELDS = (*_LINK_FIELDS, "p_eq_list", "use_shor", "classical_bypass_ber",
+                    "axis_convention")
+# What each sweep kind reads; a spec that sets another field away from its
+# default is rejected.  The order fixes each kind's rng streams.
+SWEEP_KIND_READS = {
+    "classical_ber": KindReads(100_000, _LINK_FIELDS),
+    "qber_vs_snr": KindReads(100_000, _TELEPORT_FIELDS),
+    "shor_curve": KindReads(100_000, ("p_eq_list", "axis_convention")),
+    "qsdc_batch": KindReads(1, (
+        "snr_grid_db", "p_eq_list", "rician", "turbo", "use_turbo", "use_shor", "eve",
+        "classical_bypass_ber", "n_pairs", "m_virtual", "threshold", "payload_per_session",
+    )),
+    "teleport_demo": KindReads(1000, _TELEPORT_FIELDS),
+}
+SWEEP_KINDS = tuple(SWEEP_KIND_READS)
 _KIND_CODE = {kind: i for i, kind in enumerate(SWEEP_KINDS)}
 
 SWEEP_COLUMNS = [
@@ -111,6 +136,13 @@ class SweepSpec:
             raise ValueError("threads must be >= 1")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "p_eq_list", tuple(float(p) for p in self.p_eq_list))
+        reads = {*_RUN_FIELDS, *SWEEP_KIND_READS[self.sweep_kind].fields}
+        unread = [
+            f.name for f in fields(self) if f.name not in reads and getattr(self, f.name) != (
+                f.default_factory() if f.default is MISSING else f.default)
+        ]
+        if unread:
+            raise ValueError(f"sweep kind {self.sweep_kind} does not read {', '.join(unread)}")
 
 
 def _chunk_sizes(total: int, chunk: int) -> list[int]:
@@ -290,35 +322,40 @@ def session_payload(spec: SweepSpec, session_id: int):
 
 
 def _session_chunk(job) -> list[tuple[dict, tuple]]:
-    """(CSV row, pair trace) per session; the trace is empty unless collected."""
+    """(CSV row, pair trace) per session; the trace is empty unless collected.
+
+    A session that raises gives a row with only its ``error`` filled among
+    the outcome columns, and no trace, as a failed grid point does.
+    """
     spec, session_ids, collect_trace = job
     cfg = _session_cfg(spec)
     threshold = resolve_threshold(cfg)
     sessions = []
     for sid in session_ids:
         t0 = time.perf_counter()
-        report = run_session(
-            cfg, session_id=sid, payload=session_payload(spec, sid),
-            collect_trace=collect_trace,
+        row = {c: "" for c in SESSION_COLUMNS}
+        row.update(
+            sweep_kind="qsdc_batch", session_id=sid, n_pairs=spec.n_pairs,
+            m_virtual=spec.m_virtual, threshold=threshold, p_eq=spec.p_eq_list[0],
+            eve_mode=spec.eve.mode, seed=spec.seed,
         )
-        row = {
-            "sweep_kind": "qsdc_batch",
-            "session_id": sid,
-            "decision": report.decision,
-            "virtual_qber": report.virtual_qber,
-            "payload_qber": report.payload_qber,
-            "classical_ber": report.classical_ber,
-            "attempts": report.attempts,
-            "n_pairs": spec.n_pairs,
-            "m_virtual": spec.m_virtual,
-            "threshold": threshold,
-            "p_eq": spec.p_eq_list[0],
-            "eve_mode": spec.eve.mode,
-            "seed": spec.seed,
-            "wall_ms": _elapsed_ms(t0) if spec.timing else 0,
-            "error": "",
-        }
-        sessions.append((row, report.pair_trace))
+        try:
+            report = run_session(
+                cfg, session_id=sid, payload=session_payload(spec, sid),
+                collect_trace=collect_trace,
+            )
+        except Exception as exc:  # a session failure must not end the batch
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            trace = ()
+        else:
+            row.update(
+                decision=report.decision, virtual_qber=report.virtual_qber,
+                payload_qber=report.payload_qber, classical_ber=report.classical_ber,
+                attempts=report.attempts,
+            )
+            trace = report.pair_trace
+        row["wall_ms"] = _elapsed_ms(t0) if spec.timing else 0
+        sessions.append((row, trace))
     return sessions
 
 

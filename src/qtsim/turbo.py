@@ -23,6 +23,17 @@ constituent decoders.  LLR convention throughout: positive favors bit 0.
   multiply and add, and one logarithm per bit gives the extrinsic LLR.  Its
   LLRs agree with the log-domain recursion wherever they lie below the clip,
   and its decisions matched it on every test corpus.
+- A pass of few blocks (``_window_count``: B <= 4 for the 8-state code)
+  runs its T steps as W ~ sqrt(T) windows side by side on the batch axis, as
+  in the parallel-scan form of Sarkka & Garcia-Fernandez (arXiv:1905.13002):
+  phase 1 pushes the S unit vectors through every window, each column
+  scaled on its own with its log scale kept; the W - 1 window boundaries
+  are chained in order in the log domain, each coefficient floored at
+  exp(-``WINDOW_FLOOR``) of the largest; phase 2 runs every window again
+  from its boundary.  A step costs numpy call overhead, not arithmetic, at
+  small B, so 2 sqrt(T) steps of W B columns beat T/2 steps of B columns.
+  Its LLRs equal the one-window recursion's to rounding (rtol 1e-12 in the
+  tests); with one window the recursion is the sequential one.
 - Max-log (``_bcjr`` with ``max_log``) stays in the log domain.  The same
   function with ``max_log=False`` is the log-domain log-MAP oracle of the
   tests.
@@ -33,6 +44,7 @@ contiguous axis of the decoder's state metrics); ``turbo_encode`` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -319,8 +331,40 @@ def _bcjr(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool, max_lo
 # alpha * parity factor * beta in the posterior, stays above
 # exp(-26 C) / 4096: a normal double for C < 26.9.  An LLR past 2 C = 50
 # means an error probability below 2e-22 either way.
+#
+# The windowed recursion keeps these bounds.  Phase 1 scales each unit-vector
+# column to sum 1 at every step on its own, so its entries obey the same
+# bound, and each step sum lies in [exp(-4 C), 2]: a window's log scale is a
+# finite sum of finite logs.  The combine multiplies transfer entries by
+# coefficients floored at exp(-WINDOW_FLOOR) of the largest, so its smallest
+# product is exp(-WINDOW_FLOOR - 12 C) / 64, about exp(-604): normal (for
+# the memory-4 codes of the tests, exp(-706)).  A boundary row is then the
+# exact scaled metric plus at most exp(-WINDOW_FLOOR) of its mass, so it
+# obeys the row bound above, and it is positive, so the next log is finite;
+# the zeros of row 0 enter as log(tiny), never as log(0).  The addition moves
+# a posterior sum by at most S exp(-WINDOW_FLOOR) of the pair's total, below
+# rounding for any sum above exp(-260) of it: extrinsic LLRs up to about 260.
 LOG_MAP_CLIP = 25.0
 SLAB = 64  # trellis steps per branch-factor gather and per posterior pass
+# Measured at T = 1027, S = 8 on a 2-vCPU host (medians of 9 passes), one
+# window against 32: B = 1 9.4 / 2.5 ms, B = 4 10.2 / 7.0 ms, B = 8
+# 10.4 / 12.7 ms.  Phase 1's arithmetic grows as S**2 T B, so windows run
+# while B S**2 is at most this:
+WINDOWED_COLUMNS = 256
+WINDOW_FLOOR = 300.0
+
+
+def _window_count(batch: int, steps: int, n_states: int) -> int:
+    """Trellis windows W of a ``_log_map`` pass over ``steps`` steps of ``batch`` blocks.
+
+    About sqrt(T) windows of about sqrt(T) steps, which balances the 2L
+    steps of the two phases against the W - 1 steps of the combine; one
+    window once the S unit vectors per block cost more than the T/2 steps
+    of the sequential recursion save.
+    """
+    if batch * n_states ** 2 > WINDOWED_COLUMNS:
+        return 1
+    return max(1, math.isqrt(steps))
 
 
 class _LogMapBuffers:
@@ -330,19 +374,37 @@ class _LogMapBuffers:
     so its working set is allocated and paged in once, not once per pass:
     the largest arrays (several MB at K = 1024, B = 128) would otherwise be
     mapped afresh by the allocator and page-faulted in by every pass.
+    The arrays serve passes of up to ``max_windows`` windows (by default
+    the most the window rule gives these blocks); with more than one, every
+    row is kept, and the windowed arrays are flat buffers that each pass
+    views in its own shape.
     """
 
-    def __init__(self, batch: int, max_steps: int, n_states: int):
+    def __init__(self, batch: int, max_steps: int, n_states: int,
+                 max_windows: int | None = None):
+        if max_windows is None:
+            max_windows = _window_count(batch, max_steps, n_states)
+        self.max_windows = max_windows
         self.input_factor = np.empty((max_steps, 2, batch))
         self.parity_factor = np.empty((max_steps, 2, batch))
         self.branch = np.empty((max_steps, 2, 2, batch))
-        self.low = np.empty((max_steps // 2 + 1, 2, n_states, batch))
+        n_low = max_steps // 2 + 1 if max_windows == 1 else max_steps
+        self.low = np.empty((n_low, 2, n_states, batch))
         self.buf = np.empty((SLAB + 1, 2, n_states, batch))
         self.extrinsic = np.empty((max_steps, batch))
-        self.gathered = np.empty((SLAB, 2, 2, 2, n_states // 2, batch))
-        self.paths = np.empty((SLAB, 2, n_states, batch))
-        self.factors = np.empty((SLAB, 2, n_states, batch))
-        self.sums = np.empty((SLAB, 2, batch))
+        # SLAB posterior steps per window: W windows of B blocks take as
+        # many calls as one window of W * B blocks.
+        slab = min(SLAB * max_windows, max_steps)
+        self.paths = np.empty((slab, 2, n_states, batch))
+        self.factors = np.empty((slab, 2, n_states, batch))
+        self.sums = np.empty((slab, 2, batch))
+        # W windows of L = ceil(T / W) steps have (L + 1) * W <= T + 2 W rows.
+        span = (max_steps + 2 * max_windows) * batch if max_windows > 1 else 0
+        self.window_branch = np.empty(8 * span)
+        self.unit_rows = np.empty(2 * n_states ** 2 * span)
+        self.scales = np.empty(2 * n_states * span)
+        self.window_rows = np.empty(2 * n_states * span)
+        self.gathered = np.empty(max(SLAB * 4 * n_states * batch, 4 * n_states * span))
 
 
 def _bit_factors(llr, out) -> None:
@@ -359,32 +421,98 @@ def _bit_factors(llr, out) -> None:
     np.exp(out, out=out)
 
 
-def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered) -> None:
+def _shaped(flat, *shape):
+    """A C-contiguous ``shape`` view of the front of the flat buffer ``flat``."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scales=None) -> None:
     """Fill ``rows[1:]`` from ``rows[0]``, row i + 1 by step ``first_step + i``.
 
     A row holds (alpha_k, beta_{T-k}) over the states, beta's bit-reversed,
     so that step k -> k+1 runs the forward butterfly of trellis step k and
     the backward one of step T-1-k with the same views, then rescales both
-    to sum 1.  ``branch`` holds rows 4t + 2*input + parity; ``gathered``
-    receives the factors of each step's butterflies.
+    to sum 1.  ``branch`` holds rows 4t + 2*input + parity, its columns
+    those of the last axis of ``rows``; ``rows`` may have one more axis
+    before that one, across which the factors are shared.  ``gathered`` (a
+    flat buffer) receives the factors of each step's butterflies, and
+    ``scales``, if given, each step's state sums.
     """
-    n_rows, _, n_states, batch = rows.shape
+    n_rows, _, n_states, *cols = rows.shape
     half = n_states // 2
-    inputs = rows.reshape(n_rows, 2, half, 2, batch).transpose(0, 1, 3, 2, 4)[:, :, :, None]
-    outputs = rows.reshape(n_rows, 2, 2, half, batch)
+    batch = branch.shape[1]
+    inputs = rows.reshape(n_rows, 2, half, 2, *cols).swapaxes(2, 3)[:, :, :, None]
+    outputs = rows.reshape(n_rows, 2, 2, half, *cols)
     k = np.arange(first_step, first_step + n_rows - 1)[:, None, None, None]
     last = branch.shape[0] // 4 - 1
-    g = np.take(branch, 4 * np.stack([k, last - k], axis=1) + trellis.butterfly,
-                axis=0, out=gathered[:n_rows - 1], mode="clip")  # [k, d, i, o, j, b]
-    prod = np.empty(g.shape[1:])
-    total = np.empty((2, 1, batch))
+    g = np.take(branch, 4 * np.stack([k, last - k], axis=1) + trellis.butterfly, axis=0,
+                out=_shaped(gathered, n_rows - 1, 2, 2, 2, half, batch),
+                mode="clip")  # [k, d, i, o, j, b]
+    g = g.reshape(g.shape[:5] + (1,) * (len(cols) - 1) + (batch,))
+    prod = np.empty((2, 2, 2, half, *cols))
+    if scales is None:
+        scales = np.empty((n_rows - 1, 2, 1, *cols))
     multiply, add, divide, add_reduce = np.multiply, np.add, np.divide, np.add.reduce
     for i, g_k in enumerate(g):
         multiply(g_k, inputs[i], out=prod)
         add(prod[:, 0], prod[:, 1], out=outputs[i + 1])
-        nxt = rows[i + 1]
+        nxt, total = rows[i + 1], scales[i]
         add_reduce(nxt, axis=1, keepdims=True, out=total)
         divide(nxt, total, out=nxt)
+
+
+def _windowed_rows(low, branch, trellis: RscTrellis, windows: int, work: _LogMapBuffers) -> None:
+    """Fill ``low[1:]`` from ``low[0]``, all T rows of a pass, in windows.
+
+    The T steps are cut into W windows of L steps that run side by side on
+    the batch axis of ``_advance``.  Phase 1 pushes the S unit vectors
+    through every window, each column scaled on its own with its log scale
+    kept; the boundary rows are then chained window by window in the log
+    domain, each coefficient floored at exp(-WINDOW_FLOOR) of the largest;
+    phase 2 runs every window again from its boundary row.
+    """
+    n_rows, _, n_states, batch = low.shape
+    steps = branch.shape[0] // 4
+    length = -(-steps // windows)
+    windows = -(-steps // length)  # no window starts past the end
+    cols = windows * batch
+    # The windows' branch table: for window w, rows 4k + m hold step wL + k
+    # and rows 4(L + k) + m step T - L - wL + k, so that _advance's backward
+    # index 2L - 1 - k reads step T - 1 - wL - k.  Steps past either end
+    # (only in the last window, whose rows from T on are dropped) are clipped.
+    k = np.arange(length)[:, None]
+    start = length * np.arange(windows)
+    step = np.clip(np.concatenate([start + k, steps - length - start + k]), 0, steps - 1)
+    table = np.take(branch, 4 * step[:, None] + np.arange(4)[:, None], axis=0,
+                    out=_shaped(work.window_branch, 2 * length, 4, windows, batch))
+    table = table.reshape(8 * length, cols)
+
+    units = _shaped(work.unit_rows, length + 1, 2, n_states, n_states, cols)
+    units[0] = np.eye(n_states)[:, :, None]  # column (u, w, b) starts in state u
+    scales = _shaped(work.scales, length, 2, 1, n_states, cols)
+    _advance(units, table, trellis, 0, work.gathered, scales)
+    # transfer[w, d, b, s', u] and log_scale[w, d, b, u] of each window
+    transfer = units[length].reshape(2, n_states, n_states, windows, batch)
+    transfer = transfer.transpose(3, 0, 4, 1, 2)
+    log_scale = np.log(scales).sum(axis=0).reshape(2, n_states, windows, batch)
+    log_scale = log_scale.transpose(2, 0, 3, 1)
+
+    bounds = np.empty((windows, 2, batch, n_states))
+    bounds[0] = low[0].transpose(0, 2, 1)
+    log_x = np.log(np.maximum(bounds[0], np.finfo(float).tiny))
+    for w in range(windows - 1):
+        a = log_x + log_scale[w]
+        a -= a.max(axis=-1, keepdims=True)
+        np.exp(np.maximum(a, -WINDOW_FLOOR, out=a), out=a)
+        np.matmul(transfer[w], a[..., None], out=bounds[w + 1, ..., None])
+        log_x = np.log(bounds[w + 1])
+    bounds[1:] /= bounds[1:].sum(axis=-1, keepdims=True)
+
+    rows = _shaped(work.window_rows, length + 1, 2, n_states, cols)
+    rows[0].reshape(2, n_states, windows, batch)[...] = bounds.transpose(1, 3, 0, 2)
+    _advance(rows, table, trellis, 0, work.gathered)
+    low[:] = rows[:length].reshape(length, 2, n_states, windows, batch).transpose(
+        3, 0, 1, 2, 4).reshape(windows * length, 2, n_states, batch)[:n_rows]
 
 
 def _extrinsic(alpha, beta_next, parity_factor, trellis: RscTrellis, out,
@@ -406,19 +534,24 @@ def _extrinsic(alpha, beta_next, parity_factor, trellis: RscTrellis, out,
 
 
 def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
-             work: _LogMapBuffers | None = None):
+             work: _LogMapBuffers | None = None, windows: int | None = None):
     """Exact log-MAP pass as a scaled probability-domain BCJR.
 
     Same contract as ``_bcjr``: (B, T) inputs, posterior info-bit LLRs of
     shape (B, T).  The branch factors are exponentiated once; the forward
     and backward recursions then only multiply and add (``_advance``), and
     one logarithm per bit gives the extrinsic part of the posterior.
-    ``work`` holds the work arrays (new ones if not given).
+    ``work`` holds the work arrays (new ones if not given).  The recursion
+    runs in ``windows`` trellis windows, by default ``_window_count``'s.
     """
     batch, steps = l_sys.shape
     n_states = trellis.n_states
+    if windows is None:
+        windows = _window_count(batch, steps, n_states)
     if work is None:
-        work = _LogMapBuffers(batch, steps, n_states)
+        work = _LogMapBuffers(batch, steps, n_states, max_windows=windows)
+    if windows > work.max_windows:
+        raise ValueError(f"{windows} windows exceed the work arrays' {work.max_windows}")
     input_factor = work.input_factor[:steps]
     parity_factor = work.parity_factor[:steps]
     extrinsic = work.extrinsic[:steps]  # holds L_sys + L_a until the posterior
@@ -429,22 +562,28 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
                          out=work.branch[:steps]).reshape(steps * 4, batch)
 
     # Row k holds alpha_k and beta_{T-k}; step t's posterior reads alpha from
-    # row t and beta_{t+1} from row T-1-t.  Rows 0..T//2 are kept, the later
-    # ones are made slab by slab and used at once with their partner rows.
-    low = work.low[:steps // 2 + 1]
+    # row t and beta_{t+1} from row T-1-t.  In one window rows 0..T//2 are
+    # kept, the later ones are made slab by slab and used at once with their
+    # partner rows; in more than one window all T rows are kept.
+    n_low = steps // 2 + 1 if windows == 1 else steps
+    low = work.low[:n_low]
     low[0] = 0.0
     low[0, 0, 0] = 1.0
     if terminated:
         low[0, 1, 0] = 1.0  # state 0 is its own bit reversal
     else:
         low[0, 1] = 1.0 / n_states
-    n_low = low.shape[0]
-    for k0 in range(0, n_low - 1, SLAB):
-        _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work.gathered)
+    if windows == 1:
+        for k0 in range(0, n_low - 1, SLAB):
+            _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work.gathered)
+    else:
+        _windowed_rows(low, branch, trellis, windows, work)
 
-    mid = slice(steps - n_low, n_low)  # steps whose two rows are both kept
-    _extrinsic(low[mid, 0], low[mid, 1][::-1], parity_factor[mid],
-               trellis, extrinsic[mid], work)
+    slab = work.paths.shape[0]
+    for t0 in range(steps - n_low, n_low, slab):  # steps whose two rows are both kept
+        t1 = min(t0 + slab, n_low)
+        _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0, 1][::-1], parity_factor[t0:t1],
+                   trellis, extrinsic[t0:t1], work)
     buf = work.buf
     buf[0] = low[-1]
     for r0 in range(n_low, steps, SLAB):

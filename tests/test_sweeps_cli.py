@@ -605,3 +605,68 @@ def test_qsdc_trace_bytes_identical_across_threads(tmp_path):
         assert rows == run_sweep(spec)
     assert traces[0] == traces[1]
     assert {int(line.split()[0]) for line in traces[0].decode().splitlines()[1:]} == set(range(12))
+
+
+# ---------------------------------------------------------------------------
+# each sweep kind takes only the fields it reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kind", "shor_curve", "--p-eq", "0.1", "--trials", "1000", "--zeta", "3",
+     "--eve", "boost:0.2", "--no-turbo"],
+    ["sweep", "--kind", "shor_curve", "--trials", "1000", "--snr-grid", "4"],
+    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--p-eq", "0.1"],
+    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--bypass-ber", "0.1"],
+    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--use-shor"],
+    ["sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--eve", "swap:0.5"],
+    ["sweep", "--kind", "teleport_demo", "--eve", "boost:0.1"],
+    ["sweep", "--kind", "qsdc_batch", "--coherence", "per_frame"],
+    ["sweep", "--kind", "qsdc_batch", "--axis-convention", "per_pauli"],
+    ["qsdc", "--coherence", "per_frame"],
+])
+def test_flag_the_sweep_kind_does_not_read_exits_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "does not read" in err
+
+
+def test_spec_names_every_field_its_kind_does_not_read():
+    with pytest.raises(ValueError, match="shor_curve does not read rician, eve, use_turbo"):
+        SweepSpec("shor_curve", rician=sweeps_mod.RicianParams(zeta=3.0),
+                  eve=parse_eve("boost:0.2"), use_turbo=False)
+    # a field left at its default is not an input, whatever the kind
+    SweepSpec("shor_curve", snr_grid_db=[math.inf], turbo=TurboConfig(), use_shor=False)
+    for kind, reads in sweeps_mod.SWEEP_KIND_READS.items():
+        assert set(reads.fields) <= {f.name for f in dataclasses.fields(SweepSpec)}
+        assert build_parser().parse_args(["sweep", "--kind", kind]).trials is None
+        assert _sweep_spec(parse_command(build_parser(), ["sweep", "--kind", kind])) \
+            .trials_per_point == reads.trials
+
+
+# ---------------------------------------------------------------------------
+# a failing session becomes an error row
+# ---------------------------------------------------------------------------
+
+def test_session_failure_is_recorded_not_raised(monkeypatch, tmp_path, capsys):
+    args = ["qsdc", "--sessions", "11", "-n", "8", "-m", "20", "--payload", "2",
+            "--p-e", "0.02", "--snr-db", "0", "--seed", "23"]
+    assert main(args + ["--out", str(tmp_path / "good.csv")]) == 0
+    capsys.readouterr()
+    real = sweeps_mod.run_session
+
+    def fail_session_9(cfg, session_id=0, **kwargs):
+        if session_id == 9:
+            raise RuntimeError("synthetic session failure")
+        return real(cfg, session_id=session_id, **kwargs)
+
+    monkeypatch.setattr(sweeps_mod, "run_session", fail_session_9)
+    assert main(args + ["--out", str(tmp_path / "bad.csv")]) == 0
+    assert "failed=1" in capsys.readouterr().out
+    good = (tmp_path / "good.csv").read_text().splitlines()
+    bad = (tmp_path / "bad.csv").read_text().splitlines()
+    changed = [i for i, (a, b) in enumerate(zip(good, bad)) if a != b]
+    assert len(good) == len(bad) and len(changed) == 1
+    row = _parse((tmp_path / "bad.csv").read_text())[9]
+    assert row["session_id"] == "9" and row["error"] == "RuntimeError: synthetic session failure"
+    assert row["decision"] == row["virtual_qber"] == row["attempts"] == ""
+    assert row["seed"] == "23" and row["n_pairs"] == "8"

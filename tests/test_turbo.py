@@ -6,7 +6,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtsim.turbo as turbo_mod
 from qtsim.cchannel import RicianParams, qpsk_demodulate_soft, qpsk_modulate, transmit
 from qtsim.link import send_bits
 from qtsim.turbo import (
@@ -18,6 +21,7 @@ from qtsim.turbo import (
     _iterate,
     _log_map,
     _LogMapBuffers,
+    _window_count,
     coded_block_bits,
     deinterleave,
     interleave,
@@ -373,3 +377,99 @@ def test_noiseless_link_returns_input_exactly():
             rician=RicianParams(), turbo_cfg=TurboConfig(),
         )
     assert out.dtype == np.int8 and np.array_equal(out, bits)
+
+
+# ---------------------------------------------------------------------------
+# window-parallel recursion against the one-window recursion
+# ---------------------------------------------------------------------------
+
+_GENERATORS = [(0o13, 0o15), (0o13, 0o16), (0o7, 0o5), (0o23, 0o35)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.integers(40, 1100),
+    batch=st.integers(1, 4),
+    terminated=st.booleans(),
+    generators=st.sampled_from(_GENERATORS),
+    windows=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_log_map_matches_one_window(steps, batch, terminated, generators, windows,
+                                              seed):
+    trellis = RscTrellis(*generators)
+    l_sys, l_par, l_apriori = np.random.default_rng(seed).normal(0.0, 3.0, size=(3, batch, steps))
+    one = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=1)
+    with np.errstate(all="raise"):
+        windowed = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=windows)
+    # 1e-13 absolute for LLRs near 0, whose relative error is not bounded
+    np.testing.assert_allclose(windowed, one, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(one, _ORACLE(l_sys, l_par, l_apriori, trellis, terminated),
+                               rtol=1e-9, atol=1e-9)
+
+
+def test_one_window_is_the_default_for_large_batches():
+    # the bulk decoders (B = 128) run the sequential recursion untouched
+    rng = np.random.default_rng(76)
+    trellis = RscTrellis()
+    assert _window_count(128, 1027, trellis.n_states) == 1
+    assert _window_count(1, 1027, trellis.n_states) == 32
+    l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, 8, 259))
+    np.testing.assert_array_equal(
+        _log_map(l_sys, l_par, l_apriori, trellis, True),
+        _log_map(l_sys, l_par, l_apriori, trellis, True, windows=1),
+    )
+
+
+@pytest.mark.parametrize("snr_db", [-1.5, -1.0, 0.0, 2.0, 4.0])
+def test_windowed_single_block_decisions_match_one_window(snr_db):
+    cfg = TurboConfig()
+    infos, llrs = _rician_corpus(snr_db)
+    trellis = RscTrellis(*cfg.generators)
+    assert _window_count(1, cfg.block_length + trellis.memory, trellis.n_states) > 1
+    one_window = _iterate(llrs[:24], cfg, partial(_log_map, windows=1))
+    for row, expected in zip(llrs[:24], one_window):
+        assert np.array_equal(turbo_decode(row, cfg), expected)
+
+
+def _count_windowed_passes(monkeypatch):
+    calls = []
+
+    def spy(low, branch, trellis, windows, work):
+        calls.append(windows)
+        return windowed_rows(low, branch, trellis, windows, work)
+
+    windowed_rows = turbo_mod._windowed_rows
+    monkeypatch.setattr(turbo_mod, "_windowed_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("magnitude", [30.0, 1e3, 1e12])
+def test_saturated_single_block_takes_windowed_branch(monkeypatch, magnitude):
+    # the frames of test_saturated_frames_decode_without_fp_exceptions
+    calls = _count_windowed_passes(monkeypatch)
+    cfg = TurboConfig(block_length=256, iterations=4)
+    info = np.random.default_rng(71).integers(0, 2, size=256, dtype=np.int8)
+    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg).to_bits())
+    with np.errstate(all="raise"):
+        assert np.array_equal(turbo_decode(llrs, cfg), info)
+    assert len(calls) == 2 * cfg.iterations and min(calls) > 1
+
+
+def test_erased_single_block_takes_windowed_branch(monkeypatch):
+    calls = _count_windowed_passes(monkeypatch)
+    cfg = TurboConfig(block_length=2048, iterations=2)
+    with np.errstate(all="raise"):
+        turbo_decode(np.zeros(coded_block_bits(cfg)), cfg)
+    assert len(calls) == 2 * cfg.iterations and min(calls) > 1
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_link_scale_llrs_decode_without_fp_exceptions(batch):
+    # a noiseless link's LLRs (about 3e12), decoded directly: the link
+    # itself no longer runs the decoder at snr_db = inf
+    cfg = TurboConfig()
+    infos = np.random.default_rng(77).integers(0, 2, size=(batch, 1024), dtype=np.int8)
+    llrs = 2.8e12 * (1.0 - 2.0 * turbo_encode_batch(infos, cfg))
+    with np.errstate(all="raise"):
+        assert np.array_equal(turbo_decode_batch(llrs, cfg), infos)
