@@ -114,7 +114,6 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zeta", type=float, default=10.0, help="Rician factor")
     parser.add_argument("--p0", type=float, default=1.0)
     parser.add_argument("--d", type=float, default=1.0)
-    parser.add_argument("--coherence", choices=("per_symbol", "per_frame"), default="per_symbol")
     parser.add_argument("--block-length", type=int, default=1024)
     parser.add_argument("--iterations", type=int, default=8)
     parser.add_argument("--decoder", choices=("log_map", "max_log_map"), default="log_map")
@@ -144,6 +143,8 @@ def build_parser() -> _Parser:
                               "(write --snr-grid=-2,0 when the list starts negative)")
     _add_axis_flags(p_sweep, (0.0,))
     p_sweep.add_argument("--use-shor", action="store_true")
+    p_sweep.add_argument("--coherence", choices=("per_symbol", "per_frame"),
+                         default="per_symbol")
     p_sweep.add_argument("--bypass-ber", type=float, default=None)
 
     p_qsdc = sub.add_parser("qsdc", help="run protocol sessions")
@@ -229,7 +230,6 @@ def _channel_fields(args) -> dict:
     return dict(
         eve=args.eve,
         rician=RicianParams(p0=args.p0, d=args.d, zeta=args.zeta),
-        coherence=args.coherence,
         turbo=TurboConfig(
             block_length=args.block_length, iterations=args.iterations, decoder=args.decoder,
         ),
@@ -245,6 +245,7 @@ def _sweep_spec(args) -> SweepSpec:
             args.kind, snr_grid_db=args.snr_grid_db, p_eq_list=args.p_eq_list,
             trials_per_point=trials, use_shor=args.use_shor and not args.no_shor,
             classical_bypass_ber=args.bypass_ber, axis_convention=args.axis_convention,
+            coherence=args.coherence,
             **_run_fields(args), **_channel_fields(args),
         )
     if args.command == "qsdc":

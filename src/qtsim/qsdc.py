@@ -11,7 +11,9 @@ Session flow (one attempt):
      and the virtual QBER decides accept vs abort against a threshold;
   4. on accept, payload qubits are teleported over the surviving real
      pairs, with the measurement bits protected by the Turbo/QPSK/Rician
-     classical chain.
+     classical chain; each arrives under one residual Pauli (pair frame
+     times bit errors) and is judged in one vectorized call by its Bloch
+     component along it (``teleport.teleport_errors``).
 
 Every quantum step (Bell preparation, Shor encoding and decoding, Pauli
 noise, the swap attack, teleportation) is Clifford, so each pair is
@@ -40,10 +42,8 @@ from .link import send_bits
 from .qchannel import DepolarizingParams, EveModel, NO_EVE, effective_params
 from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
 from .shor import exact_logical_rate, transit_flags
-from .teleport import frame_teleport_exact
+from .teleport import teleport_errors
 from .turbo import TurboConfig
-
-PHASES = ("distributed", "decoded", "verified", "aborted", "completed")
 
 
 class ProtocolError(RuntimeError):
@@ -205,18 +205,6 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     )
 
 
-def _send_classical_bits(bits: np.ndarray, cfg: QsdcConfig, rng) -> np.ndarray:
-    """Push measurement bits through the configured classical channel."""
-    return send_bits(
-        bits,
-        rng,
-        snr_db=cfg.snr_db,
-        rician=cfg.rician,
-        turbo_cfg=cfg.turbo if cfg.use_turbo else None,
-        bypass_ber=cfg.classical_bypass_ber,
-    )
-
-
 def teleport_payload(
     state: SessionState, payload: list[StateVector], cfg: QsdcConfig, rng
 ) -> QsdcReport:
@@ -234,21 +222,25 @@ def teleport_payload(
 
     # The sender's Bell outcome is uniform whatever the pair and payload are.
     sent_bits = rng.integers(0, 2, size=2 * len(payload), dtype=np.int8)
-    bit_errors = sent_bits ^ _send_classical_bits(sent_bits, cfg, rng)
+    received = send_bits(
+        sent_bits, rng, snr_db=cfg.snr_db, rician=cfg.rician,
+        turbo_cfg=cfg.turbo if cfg.use_turbo else None, bypass_ber=cfg.classical_bypass_ber,
+    )
     used = real_positions[: len(payload)]
-    frames = zip(state.parity_bits[used].tolist(), state.phase_bits[used].tolist())
-    n_errors = 0
-    for pos, psi, (m1, m2), error, (x, z) in zip(
-        used, payload, sent_bits.reshape(-1, 2).tolist(),
-        bit_errors.reshape(-1, 2).tolist(), frames,
-    ):
-        exact = frame_teleport_exact(psi, x, z, error)
-        n_errors += not exact
-        if state.pair_trace is not None:
-            state.pair_trace.append(("payload", pos, m1, m2, int(exact)))
+    errors = teleport_errors(
+        np.reshape([psi.amplitudes for psi in payload], (len(payload), 2)),
+        state.parity_bits[used], state.phase_bits[used], sent_bits, received,
+    )
+    if state.pair_trace is not None:
+        state.pair_trace.extend(
+            ("payload", pos, m1, m2, ok)
+            for pos, (m1, m2), ok in zip(
+                used, sent_bits.reshape(-1, 2).tolist(), (~errors).astype(int).tolist()
+            )
+        )
 
-    payload_qber = n_errors / len(payload) if payload else 0.0
-    classical_ber = float(bit_errors.mean()) if bit_errors.size else 0.0
+    payload_qber = int(np.count_nonzero(errors)) / len(payload) if payload else 0.0
+    classical_ber = float(np.mean(sent_bits != received)) if payload else 0.0
     state.phase = "completed"
     return QsdcReport(
         virtual_qber=state.virtual_qber if state.virtual_qber is not None else 0.0,

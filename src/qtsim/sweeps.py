@@ -36,6 +36,7 @@ from .qchannel import DepolarizingParams, EveModel, NO_EVE
 from .qsdc import QsdcConfig, resolve_threshold, run_session
 from .qstate import random_state
 from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
+from .teleport import DEFAULT_TEST_STATE, teleport_errors
 from .turbo import TurboConfig
 
 
@@ -46,10 +47,7 @@ class KindReads(NamedTuple):
 
 _RUN_FIELDS = ("sweep_kind", "trials_per_point", "seed", "output_path", "threads", "timing")
 _LINK_FIELDS = ("snr_grid_db", "rician", "coherence", "turbo", "use_turbo")
-# qber_vs_snr and teleport_demo also accept axis_convention, though their
-# p_eq values are always total rates.
-_TELEPORT_FIELDS = (*_LINK_FIELDS, "p_eq_list", "use_shor", "classical_bypass_ber",
-                    "axis_convention")
+_TELEPORT_FIELDS = (*_LINK_FIELDS, "p_eq_list", "use_shor", "classical_bypass_ber")
 # What each sweep kind reads; a spec that sets another field away from its
 # default is rejected.  The order fixes each kind's rng streams.
 SWEEP_KIND_READS = {
@@ -167,32 +165,17 @@ def _run_chunks(spec: SweepSpec, worker, jobs: list[tuple]):
 # classical_ber: uncoded vs turbo-coded QPSK over the fading link
 # ---------------------------------------------------------------------------
 
-def _uncoded_chunk(job) -> tuple[int, int]:
-    spec, snr_db, i_snr, chunk_idx, n_bits = job
-    rng = _rng_for(spec, i_snr, 0, chunk_idx)
+def _ber_chunk(job) -> tuple[int, int]:
+    """Bit errors and bits sent of ``n`` uncoded bits, or ``n`` turbo blocks."""
+    coded, spec, snr_db, i_snr, chunk_idx, n = job
+    rng = _rng_for(spec, i_snr, int(coded), chunk_idx)
+    n_bits = n * spec.turbo.block_length if coded else n
     bits = rng.integers(0, 2, size=n_bits, dtype=np.int8)
     out = send_bits(
         bits, rng, snr_db=snr_db, rician=spec.rician,
-        turbo_cfg=None, coherence=spec.coherence,
+        turbo_cfg=spec.turbo if coded else None, coherence=spec.coherence,
     )
     return int(np.count_nonzero(bits != out)), n_bits
-
-
-def _coded_chunk(job) -> tuple[int, int]:
-    spec, snr_db, i_snr, chunk_idx, n_blocks = job
-    rng = _rng_for(spec, i_snr, 1, chunk_idx)
-    k = spec.turbo.block_length
-    bits = rng.integers(0, 2, size=n_blocks * k, dtype=np.int8)
-    out = send_bits(
-        bits, rng, snr_db=snr_db, rician=spec.rician,
-        turbo_cfg=spec.turbo, coherence=spec.coherence,
-    )
-    return int(np.count_nonzero(bits != out)), n_blocks * k
-
-
-def _ber_chunk(job) -> tuple[int, int]:
-    coded, *args = job
-    return (_coded_chunk if coded else _uncoded_chunk)(tuple(args))
 
 
 def _classical_point(spec: SweepSpec, snr_db: float, i_snr: int) -> list[dict]:
@@ -225,11 +208,10 @@ def _classical_point(spec: SweepSpec, snr_db: float, i_snr: int) -> list[dict]:
 def _teleport_batch(spec: SweepSpec, snr_db: float, rng, x_flip, z_flip):
     """Vectorized teleport trials over pairs with the given (x, z) frame flags.
 
-    Judged by Pauli frame, as ``teleport.frame_teleport_exact`` judges one
-    trial: the sender's outcome is uniform whatever the frame, and the
-    payload (``DEFAULT_TEST_STATE``, which every Pauli mismatch corrupts) is
-    exact iff the frame times the classical bit errors is I, where a flipped
-    m1 adds Z and a flipped m2 adds X.
+    The sender's outcome is uniform whatever the frame; its bits cross the
+    link, and ``teleport.teleport_errors`` judges each trial's payload
+    (``DEFAULT_TEST_STATE``) under the frame times the bit errors, as it
+    judges a session's payload.
     """
     n_trials = len(x_flip)
     outcomes = np.minimum((4.0 * rng.random(n_trials)).astype(np.int8), 3)
@@ -241,9 +223,9 @@ def _teleport_batch(spec: SweepSpec, snr_db: float, rng, x_flip, z_flip):
         turbo_cfg=spec.turbo if spec.use_turbo else None,
         bypass_ber=spec.classical_bypass_ber, coherence=spec.coherence,
     )
-    flipped = bits != received
-    wrong = (x_flip != flipped[1::2]) | (z_flip != flipped[0::2])
-    return int(np.count_nonzero(wrong)), n_trials, int(np.count_nonzero(flipped)), 2 * n_trials
+    wrong = teleport_errors(DEFAULT_TEST_STATE.amplitudes, x_flip, z_flip, bits, received)
+    n_flipped = int(np.count_nonzero(bits != received))
+    return int(np.count_nonzero(wrong)), n_trials, n_flipped, 2 * n_trials
 
 
 def _qber_chunk(job) -> tuple[int, int, int, int]:

@@ -96,19 +96,27 @@ PAULI_FROM_FLAGS = {
 }  # keyed by (x, z) frame flags
 
 
-def frame_teleport_exact(
-    psi: StateVector, pair_x: int, pair_z: int, classical_error: tuple[int, int]
-) -> bool:
-    """Pauli-frame teleport: is ``psi`` reconstructed exactly?
+def teleport_errors(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
+    """Pauli-frame teleports: which payload qubits arrive corrupted?
 
-    Every step of the protocol is Clifford, so whatever the sender measures,
-    the receiver ends with ``psi`` under one residual Pauli: the pair's frame
-    (``pair_x``, ``pair_z`` on the receiver's half) times the classical bit
-    errors, where a flipped m1 adds Z and a flipped m2 adds X.  The verdict
-    is the same fidelity test that ``TeleportResult.is_error`` applies.
+    ``amplitudes`` is one qubit's (a, b) or one row per qubit; ``pair_x`` and
+    ``pair_z`` are the frame flags on the receiver's half of each pair, and
+    ``sent``/``received`` the (m1, m2) bits of each teleport, flat in wire
+    order.  Every step of the protocol is Clifford, so whatever the sender
+    measures, the receiver ends with the payload under one residual Pauli:
+    X iff ``pair_x`` differs from the m2 flip, Z iff ``pair_z`` differs from
+    the m1 flip.  The fidelity to the input is then the squared Bloch
+    component along that Pauli (1 for I), judged as
+    ``TeleportResult.is_error`` judges it.
     """
-    residual = PAULI_FROM_FLAGS[(pair_x ^ classical_error[1], pair_z ^ classical_error[0])]
-    return fidelity(apply_pauli(psi, 0, residual), psi) >= 1.0 - ERROR_FIDELITY_TOL
+    a, b = np.moveaxis(np.asarray(amplitudes, dtype=complex), -1, 0)
+    ab = np.conj(a) * b
+    bloch_x, bloch_y, bloch_z = 2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2
+    flipped = np.asarray(sent) != np.asarray(received)
+    x = np.asarray(pair_x) != flipped[1::2]
+    z = np.asarray(pair_z) != flipped[0::2]
+    component = np.where(x, np.where(z, bloch_y, bloch_x), np.where(z, bloch_z, 1.0))
+    return component**2 < 1.0 - ERROR_FIDELITY_TOL
 
 
 def teleport_once(

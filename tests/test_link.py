@@ -49,7 +49,7 @@ _FINITE_SNR_SPECS = [
               seed=4, use_turbo=False),
     SweepSpec("qber_vs_snr", p_eq_list=(0.05,), trials_per_point=2000, seed=5,
               classical_bypass_ber=0.1),
-    # _coded_chunk and _uncoded_chunk
+    # _ber_chunk, uncoded and coded
     SweepSpec("classical_ber", snr_grid_db=(-1.0,), trials_per_point=1500, seed=6),
 ]
 

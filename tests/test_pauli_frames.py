@@ -7,6 +7,7 @@ Pauli pattern, Shor decode; teleport_once; the entanglement-swap attack.
 """
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qtsim.qsdc import (
     QsdcConfig,
     SessionState,
     distribute_pairs,
+    run_session,
     transmit_protected,
     verify_virtual,
 )
@@ -38,9 +40,10 @@ from qtsim.sweeps import SweepSpec, run_sweep
 from qtsim.teleport import (
     DEFAULT_TEST_STATE,
     PAULI_FROM_FLAGS,
-    frame_teleport_exact,
+    teleport_errors,
     teleport_once,
 )
+from qtsim.turbo import TurboConfig
 
 # With P_eq = 0.3 the four-rule sampler maps these uniforms onto each Pauli.
 SCRIPT_P_EQ = 0.3
@@ -127,21 +130,58 @@ def test_unprotected_frame_transit_matches_pauli_on_pair(host):
         assert fidelity(apply_pauli(make_bell(host), 1, err), frame) > 1 - 1e-9
 
 
-@pytest.mark.parametrize("random_psi", [False, True], ids=["default_psi", "random_psi"])
-def test_frame_teleport_verdict_matches_teleport_once(random_psi):
+def _unit(*amplitudes):
+    amps = np.array(amplitudes, dtype=complex)
+    return StateVector(1, amps / np.linalg.norm(amps))
+
+
+# Generic payloads, which every Pauli mismatch corrupts, and the six Pauli
+# eigenstates, which one of X, Y, Z leaves exact.
+VERDICT_STATES = {
+    "default_psi": DEFAULT_TEST_STATE,
+    "random_psi": random_state(1, np.random.default_rng(2105)),
+    "zero": _unit(1, 0), "one": _unit(0, 1),
+    "plus": _unit(1, 1), "minus": _unit(1, -1),
+    "plus_i": _unit(1, 1j), "minus_i": _unit(1, -1j),
+}
+FRAMES_AND_ERRORS = list(itertools.product(itertools.product((0, 1), repeat=2), repeat=2))
+
+
+@pytest.mark.parametrize("name", VERDICT_STATES)
+def test_frame_teleport_verdict_matches_teleport_once(name):
+    psi = VERDICT_STATES[name]
     rng = np.random.default_rng(2105)
-    psi = random_state(1, rng) if random_psi else DEFAULT_TEST_STATE
-    for (x, z), error in itertools.product(
-        itertools.product((0, 1), repeat=2), itertools.product((0, 1), repeat=2)
-    ):
-        frame_exact = frame_teleport_exact(psi, x, z, error)
+    for (x, z), error in FRAMES_AND_ERRORS:
         for _ in range(8):  # the oracle's verdict holds for every sender outcome
             result = teleport_once(
                 psi, classical_error=error, pauli_on_pair=PAULI_FROM_FLAGS[(x, z)], rng=rng
             )
-            assert frame_exact == (not result.is_error), ((x, z), error, result.outcome)
-        # a flipped m2 undoes an X on the pair, a flipped m1 undoes a Z
-        assert frame_exact == ((x, z) == (error[1], error[0]))
+            sent = np.array([result.outcome.m1, result.outcome.m2])
+            wrong = teleport_errors(psi.amplitudes, np.array([x]), np.array([z]), sent,
+                                    sent ^ error)
+            assert wrong.tolist() == [result.is_error], ((x, z), error, result.outcome)
+        if name in ("default_psi", "random_psi"):
+            # a flipped m2 undoes an X on the pair, a flipped m1 undoes a Z
+            assert result.is_error == ((x, z) != (error[1], error[0]))
+
+
+def test_one_vectorized_verdict_equals_the_per_qubit_verdicts():
+    cases = list(itertools.product(VERDICT_STATES.values(), FRAMES_AND_ERRORS))
+    rng = np.random.default_rng(2107)
+    sent = rng.integers(0, 2, size=2 * len(cases), dtype=np.int8)
+    received = sent ^ np.array([error for _, (_, error) in cases], dtype=np.int8).ravel()
+    amplitudes = np.array([psi.amplitudes for psi, _ in cases])
+    x, z = np.array([frame for _, (frame, _) in cases]).T
+    wrong = teleport_errors(amplitudes, x, z, sent, received)
+    assert wrong.shape == (len(cases),)
+    for i, (psi, _) in enumerate(cases):
+        bits = slice(2 * i, 2 * i + 2)
+        assert wrong[i] == teleport_errors(
+            psi.amplitudes, x[i : i + 1], z[i : i + 1], sent[bits], received[bits]
+        )[0]
+    # Each residual comes up in 4 of the 16 cases.  A generic state is exact
+    # only under I, an eigenstate also under its own Pauli.
+    assert np.count_nonzero(wrong) == 2 * 12 + 6 * 8
 
 
 def test_verify_bits_follow_the_measured_bell_pair():
@@ -216,3 +256,31 @@ def test_shor_qber_sweep_matches_exact_logical_rate():
     sigma = math.sqrt(exact * (1 - exact) / trials)
     assert row["ber"] == 0.0
     assert abs(row["qber"] - exact) < 4 * sigma
+
+
+def test_sessions_and_teleport_sweeps_run_no_state_vector_gate(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("state-vector call on the frame path")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qtsim")]:
+        for name in ("apply_gate", "apply_pauli", "fidelity"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    rng = np.random.default_rng(2110)
+    session = SweepSpec(
+        sweep_kind="qsdc_batch", snr_grid_db=(0.0,), p_eq_list=(0.05,), trials_per_point=3,
+        n_pairs=8, m_virtual=20, use_shor=True, payload_per_session=8,
+        turbo=TurboConfig(block_length=40, iterations=1),
+    )
+    teleport = SweepSpec(
+        sweep_kind="teleport_demo", snr_grid_db=(0.0,), p_eq_list=(0.05,), trials_per_point=200,
+        use_shor=True, turbo=TurboConfig(block_length=40, iterations=1),
+    )
+    for spec in (session, teleport):
+        rows = run_sweep(spec)
+        assert [row["error"] for row in rows] == [""] * len(rows)
+    report = run_session(
+        QsdcConfig(n_pairs=8, m_virtual=20, snr_db=0.0, turbo=TurboConfig(block_length=40)),
+        payload=[random_state(1, rng) for _ in range(8)], collect_trace=True,
+    )
+    assert report.decision == "accept" and report.payload_qber is not None

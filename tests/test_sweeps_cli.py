@@ -239,6 +239,66 @@ def test_classical_ber_bytes_identical_across_threads():
     assert (uncoded["variant"], coded["variant"]) == ("uncoded", "turbo")
 
 
+_SNRS = st.lists(st.sampled_from([-1.0, 0.0, 3.0, math.inf]), min_size=1, max_size=2)
+_P_EQS = st.lists(st.sampled_from([0.0, 0.02, 0.1]), min_size=1, max_size=2)
+_LINK = {
+    "rician": st.builds(sweeps_mod.RicianParams, zeta=st.sampled_from([0.0, 10.0])),
+    "turbo": st.builds(TurboConfig, block_length=st.integers(40, 96),
+                       iterations=st.integers(1, 3),
+                       decoder=st.sampled_from(["log_map", "max_log_map"])),
+    "use_turbo": st.booleans(),
+}
+_TELEPORT = {
+    **_LINK, "snr_grid_db": _SNRS, "p_eq_list": _P_EQS, "use_shor": st.booleans(),
+    "coherence": st.sampled_from(["per_symbol", "per_frame"]),
+    "classical_bypass_ber": st.sampled_from([None, 0.05]),
+    "trials_per_point": st.integers(1000, 3000),
+}
+# Small specs of every kind, with the fields that kind reads.
+_SMALL_SPECS = {
+    "classical_ber": {
+        **_LINK, "snr_grid_db": _SNRS, "coherence": _TELEPORT["coherence"],
+        "trials_per_point": st.integers(1000, 3000),
+    },
+    "qber_vs_snr": _TELEPORT,
+    "teleport_demo": {**_TELEPORT, "trials_per_point": st.integers(1, 3000)},
+    "shor_curve": {
+        "p_eq_list": _P_EQS, "axis_convention": st.sampled_from(["total", "per_pauli"]),
+        "trials_per_point": st.integers(1000, 5000),
+    },
+    "qsdc_batch": {
+        **_LINK, "snr_grid_db": _SNRS.map(lambda s: s[:1]),
+        "p_eq_list": _P_EQS.map(lambda p: p[:1]),
+        "use_shor": st.booleans(), "trials_per_point": st.integers(1, 12),
+        "eve": st.sampled_from(["none", "swap:0.3", "boost:0.1"]).map(parse_eve),
+        "n_pairs": st.integers(0, 6), "m_virtual": st.integers(20, 40),
+        "threshold": st.sampled_from([None, 0.5]), "payload_per_session": st.integers(0, 6),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SMALL_SPECS))
+def test_small_specs_are_bytes_identical_across_threads(kind, monkeypatch):
+    assert set(_SMALL_SPECS) == set(SWEEP_KINDS)
+    # Small chunks, so that even small specs run several chunks on the pool.
+    for name, size in [("UNCODED_CHUNK_BITS", 1024), ("CODED_CHUNK_BLOCKS", 16),
+                       ("QBER_CHUNK_TRIALS", 1024), ("SHOR_CHUNK_TRIALS", 2048),
+                       ("SESSION_CHUNK", 3)]:
+        monkeypatch.setattr(sweeps_mod, name, size)
+
+    @settings(max_examples=6, deadline=None)  # each example starts pools
+    @given(st.fixed_dictionaries(_SMALL_SPECS[kind]), st.integers(0, 2**16))
+    def check(values, seed):
+        spec = SweepSpec(kind, seed=seed, **values)
+        texts = [
+            render_csv(spec, run_sweep(dataclasses.replace(spec, threads=threads)))
+            for threads in (1, 2)
+        ]
+        assert texts[0] == texts[1]
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -434,7 +494,6 @@ _CHANNEL_VALUES = {
     "zeta": _floats_text(0.0, 50.0),
     "p0": _floats_text(0.1, 10.0),
     "d": _floats_text(0.1, 10.0),
-    "coherence": st.sampled_from(["per_symbol", "per_frame"]),
     "block_length": st.integers(40, 4096).map(str),
     "iterations": st.integers(1, 16).map(str),
     "decoder": st.sampled_from(["log_map", "max_log_map"]),
@@ -451,6 +510,7 @@ _FLAG_VALUES = {
         "trials": st.integers(1000, 10**6).map(str),
         "snr_grid_db": _float_list_text(-10.0, 20.0),
         "use_shor": _BOOLEAN,
+        "coherence": st.sampled_from(["per_symbol", "per_frame"]),
         "bypass_ber": _floats_text(0.0, 0.5),
     },
     "qsdc": {
@@ -587,7 +647,8 @@ def test_spec_rejects_input_it_would_drop():
     with pytest.raises(ValueError, match="p_eq"):
         SweepSpec(sweep_kind="shor_curve", p_eq_list=(0.34,), axis_convention="per_pauli")
     SweepSpec(sweep_kind="shor_curve", p_eq_list=(1 / 3,), axis_convention="per_pauli")
-    SweepSpec(sweep_kind="qber_vs_snr", p_eq_list=(0.5,), axis_convention="per_pauli")
+    with pytest.raises(ValueError, match="does not read axis_convention"):
+        SweepSpec(sweep_kind="qber_vs_snr", p_eq_list=(0.5,), axis_convention="per_pauli")
     with pytest.raises(ValueError, match="qsdc_batch"):
         run_sweep(SweepSpec(sweep_kind="teleport_demo", trials_per_point=10), trace_path="t.txt")
 
@@ -622,12 +683,18 @@ def test_qsdc_trace_bytes_identical_across_threads(tmp_path):
     ["sweep", "--kind", "teleport_demo", "--eve", "boost:0.1"],
     ["sweep", "--kind", "qsdc_batch", "--coherence", "per_frame"],
     ["sweep", "--kind", "qsdc_batch", "--axis-convention", "per_pauli"],
-    ["qsdc", "--coherence", "per_frame"],
+    ["sweep", "--kind", "qber_vs_snr", "--axis-convention", "per_pauli"],
 ])
 def test_flag_the_sweep_kind_does_not_read_exits_1(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error" in err and "does not read" in err
+
+
+def test_qsdc_has_no_coherence_flag(capsys):
+    # sessions never read the link's coherence mode, so qsdc does not take it
+    assert main(["qsdc", "--coherence", "per_frame"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_spec_names_every_field_its_kind_does_not_read():
