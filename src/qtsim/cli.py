@@ -42,6 +42,8 @@ EXIT_SELFTEST = 3
 _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
 _CONFIG_HELP = "key=value file of flag values, keyed by flag dest names"
+_P_E_HELP = ("total channel error probability P_eq per qubit "
+             "(X, Z and Y each with P_eq/3), not the per-Pauli p_e")
 
 
 class CliConfigError(Exception):
@@ -156,8 +158,7 @@ def build_parser() -> _Parser:
     p_qsdc.add_argument("--sessions", type=int, default=1)
     p_qsdc.add_argument("--payload", type=int, default=0,
                         help="random payload qubits per session")
-    p_qsdc.add_argument("--p-e", type=float, default=0.0, dest="p_eq",
-                        help="channel depolarization probability")
+    p_qsdc.add_argument("--p-e", type=float, default=0.0, dest="p_eq", help=_P_E_HELP)
     p_qsdc.add_argument("--snr-db", type=float, default=math.inf)
     p_qsdc.add_argument("--trace", default=None, help="write a per-pair trace file")
 
@@ -165,7 +166,7 @@ def build_parser() -> _Parser:
     p_demo.add_argument("--config", help=_CONFIG_HELP)
     p_demo.add_argument("--seed", type=int, default=0)
     p_demo.add_argument("--trials", type=_positive_int, default=8)
-    p_demo.add_argument("--p-e", type=float, default=0.0, dest="p_eq")
+    p_demo.add_argument("--p-e", type=float, default=0.0, dest="p_eq", help=_P_E_HELP)
 
     p_shor = sub.add_parser("shor-curve", help="decoded-error curve")
     _add_run_flags(p_shor)

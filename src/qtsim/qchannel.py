@@ -123,9 +123,9 @@ def sample_pauli_flags(params: DepolarizingParams, rng, n: int):
     q1 = params.p_eq / 3.0
     q2 = 2.0 * params.p_eq / 3.0
     q3 = params.p_eq
-    is_y = (u >= q2) & (u < q3)
-    x_flip = (u < q1) | is_y
-    z_flip = ((u >= q1) & (u < q2)) | is_y
+    flipped = u < q3  # X, Z or Y
+    z_flip = (u >= q1) & flipped  # Z or Y
+    x_flip = flipped ^ (z_flip & (u < q2))  # X or Y: the flipped ones but Z
     return x_flip, z_flip
 
 

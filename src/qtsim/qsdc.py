@@ -75,11 +75,13 @@ class QsdcConfig:
             raise ValueError("n_pairs must be >= 0")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
         if self.m_virtual < 20:
             warnings.warn(
                 f"m_virtual = {self.m_virtual} gives coarse detection; "
                 "more virtual pairs make the check more precise",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -131,13 +133,22 @@ def distribute_pairs(cfg: QsdcConfig, rng) -> SessionState:
     """Create n real + m virtual pairs, decoys at rng-chosen secret slots."""
     total = cfg.n_pairs + cfg.m_virtual
     chosen = rng.choice(total, size=cfg.m_virtual, replace=False)
-    is_virtual = np.zeros(total, dtype=bool)
-    is_virtual[chosen] = True
+    phase_bits = np.full(total, PHI_PLUS.phase_bit, dtype=np.int8)
+    parity_bits = np.full(total, PHI_PLUS.parity_bit, dtype=np.int8)
+    phase_bits[chosen] = PSI_PLUS.phase_bit
+    parity_bits[chosen] = PSI_PLUS.parity_bit
     return SessionState(
-        phase_bits=np.where(is_virtual, PSI_PLUS.phase_bit, PHI_PLUS.phase_bit).astype(np.int8),
-        parity_bits=np.where(is_virtual, PSI_PLUS.parity_bit, PHI_PLUS.parity_bit).astype(np.int8),
+        phase_bits=phase_bits,
+        parity_bits=parity_bits,
         virtual_positions=frozenset(chosen.tolist()),
     )
+
+
+def _virtual_index(state: SessionState) -> np.ndarray:
+    """The decoy positions as a sorted int array."""
+    positions = np.fromiter(state.virtual_positions, np.intp, len(state.virtual_positions))
+    positions.sort()
+    return positions
 
 
 def transmit_protected(state: SessionState, cfg: QsdcConfig, rng) -> SessionState:
@@ -176,18 +187,19 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     sender then measures her halves and counts non-opposite outcomes.
     """
     state.require_phase("decoded")
-    positions = sorted(state.virtual_positions)
+    positions = _virtual_index(state)
     # The receiver's Z outcome is uniform; the sender's differs from it by
-    # the pair's parity bit.
+    # the pair's parity bit, so the outcomes are opposite, as
+    # (|01>+|10>)/sqrt(2) requires, exactly where that bit is set.
     bob = rng.integers(0, 2, size=len(positions), dtype=np.int8)
-    alice = bob ^ state.parity_bits[positions]
-    opposite = alice != bob  # required for (|01>+|10>)/sqrt(2)
-    disagreements = len(positions) - int(np.count_nonzero(opposite))
+    parity = state.parity_bits[positions]
+    disagreements = len(positions) - int(np.count_nonzero(parity))
     if state.pair_trace is not None:
         state.pair_trace.extend(
             ("virtual", pos, a, b, ok)
             for pos, a, b, ok in zip(
-                positions, alice.tolist(), bob.tolist(), opposite.astype(int).tolist()
+                positions.tolist(), (bob ^ parity).tolist(), bob.tolist(),
+                (parity != 0).astype(int).tolist(),
             )
         )
     virtual_qber = disagreements / cfg.m_virtual
@@ -212,9 +224,9 @@ def teleport_payload(
     if state.phase == "aborted":
         raise ProtocolError("aborted session cannot carry payload")
     state.require_phase("verified")
-    real_positions = [
-        i for i in range(len(state.phase_bits)) if i not in state.virtual_positions
-    ]
+    is_real = np.ones(len(state.phase_bits), dtype=bool)
+    is_real[_virtual_index(state)] = False
+    real_positions = np.flatnonzero(is_real)
     if len(payload) > len(real_positions):
         raise ValueError(
             f"payload of {len(payload)} exceeds {len(real_positions)} surviving pairs"
@@ -235,7 +247,7 @@ def teleport_payload(
         state.pair_trace.extend(
             ("payload", pos, m1, m2, ok)
             for pos, (m1, m2), ok in zip(
-                used, sent_bits.reshape(-1, 2).tolist(), (~errors).astype(int).tolist()
+                used.tolist(), sent_bits.reshape(-1, 2).tolist(), (~errors).astype(int).tolist()
             )
         )
 
@@ -266,6 +278,7 @@ def geometric_threshold(
     return max(base, floor)
 
 
+@lru_cache(maxsize=64)
 def choose_threshold(
     depol: DepolarizingParams,
     delta_pe: float = 0.10,
@@ -292,7 +305,7 @@ def run_session(
     trace: list[tuple] = []
     last_report = None
     attempts = 0
-    for attempt in range(max(1, cfg.max_retries)):
+    for attempt in range(cfg.max_retries):
         attempts += 1
         rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 0x5E55, session_id, attempt))

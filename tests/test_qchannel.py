@@ -111,6 +111,29 @@ def test_scalar_and_vector_samplers_agree_on_thresholds():
         assert flags == want
 
 
+@pytest.mark.parametrize("p_eq", [0.0, 0.005, 0.105, 0.3, 1.0])
+def test_vector_sampler_matches_scalar_sampler_at_every_boundary(p_eq):
+    params = DepolarizingParams.from_total(p_eq)
+    edges = np.array([p_eq / 3.0, 2.0 * p_eq / 3.0, p_eq])
+    u = np.concatenate([
+        edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+        np.random.default_rng(23).random(200),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+
+    class _Fixed:
+        def random(self, n):
+            return u
+
+    x, z = sample_pauli_flags(params, _Fixed(), len(u))
+    flags = {
+        PauliError.X: (True, False), PauliError.Z: (False, True),
+        PauliError.Y: (True, True), PauliError.I: (False, False),
+    }
+    expected = [flags[sample_pauli(params, ScriptedRng([v]))] for v in u.tolist()]
+    assert list(zip(x.tolist(), z.tolist())) == expected
+
+
 @pytest.mark.parametrize("p_eq", [1e-1, 1e-2])
 def test_empirical_total_error_rate(p_eq):
     # error rate = damaged / total over 1e6 qubits; at 1e-1 that is one

@@ -1,5 +1,6 @@
 """Secure session protocol: distribution, verification, payload, thresholds."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qtsim.qsdc import (
     ProtocolError,
     QsdcConfig,
     QsdcReport,
+    SessionState,
     choose_threshold,
     distribute_pairs,
     geometric_threshold,
@@ -81,11 +83,43 @@ def test_config_validation():
         _cfg(threshold=1.5)
     with pytest.warns(UserWarning):
         _cfg(m_virtual=5)
+    for retries in (0, -1):
+        with pytest.raises(ValueError, match="max_retries"):
+            _cfg(max_retries=retries)
+
+
+def test_coarse_detection_warning_names_the_line_that_built_the_config():
+    with pytest.warns(UserWarning, match="coarse detection") as rec:
+        QsdcConfig(m_virtual=5)
+    assert rec[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------
 # protected transit
 # ---------------------------------------------------------------------------
+
+def test_verify_and_payload_read_assigned_virtual_positions():
+    # a hand-built state: decoys at 1 and 8 (a set that iterates as 8, 1),
+    # the pair at 8 flipped to even parity
+    with pytest.warns(UserWarning):
+        cfg = _cfg(n_pairs=8, m_virtual=2, threshold=0.6)
+    parity_bits = np.zeros(10, dtype=np.int8)
+    parity_bits[1] = 1
+    state = SessionState(
+        phase_bits=np.zeros(10, dtype=np.int8),
+        parity_bits=parity_bits,
+        virtual_positions=frozenset({8, 1}),
+        phase="decoded",
+    )
+    rng = np.random.default_rng(96)
+    report = verify_virtual(state, cfg, rng)
+    assert report.virtual_qber == 0.5 and report.decision == "accept"
+    assert [(row[1], row[4]) for row in state.pair_trace] == [(1, 1), (8, 0)]
+    payload = [random_state(1, rng) for _ in range(8)]
+    report = teleport_payload(state, payload, cfg, rng)
+    assert [row[1] for row in state.pair_trace[2:]] == [0, 2, 3, 4, 5, 6, 7, 9]
+    assert report.payload_qber == 0.0
+
 
 def test_clean_transit_preserves_every_pair():
     cfg = _cfg(n_pairs=4, m_virtual=20)
@@ -294,6 +328,7 @@ def test_run_session_retries_then_gives_up_under_attack():
     assert report.decision == "abort"
     assert report.attempts == 3
     assert report.payload_qber is None
+    assert run_session(replace(cfg, max_retries=1), session_id=2).attempts == 1
 
 
 def test_detection_smoke_all_three_scenarios():

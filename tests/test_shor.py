@@ -18,6 +18,7 @@ from qtsim.qstate import (
 )
 from qtsim.shor import (
     PauliPattern,
+    _logical_flags,
     ShorBlock,
     apply_pattern,
     axis_params,
@@ -250,3 +251,43 @@ def test_axis_conventions():
     assert axis_params(0.03, "per_pauli").p_eq == pytest.approx(0.09)
     with pytest.raises(ValueError):
         axis_params(0.03, "thirds")
+
+
+# ---------------------------------------------------------------------------
+# decode table == symbolic oracle
+# ---------------------------------------------------------------------------
+
+_RESIDUAL_FLAGS = {
+    PauliError.I: (False, False), PauliError.X: (True, False),
+    PauliError.Z: (False, True), PauliError.Y: (True, True),
+}
+
+
+def _assert_table_matches_oracle(codes):
+    """``codes`` is (n, 9), each entry an index into PAULIS."""
+    xs = (codes == 1) | (codes == 3)
+    zs = (codes == 2) | (codes == 3)
+    logical_x, logical_z = _logical_flags(xs, zs)
+    for row, lx, lz in zip(codes, logical_x.tolist(), logical_z.tolist()):
+        pattern = PauliPattern(tuple(PAULIS[c] for c in row))
+        assert (lx, lz) == _RESIDUAL_FLAGS[classify_pattern(pattern).logical_error], row
+
+
+@pytest.mark.parametrize("code", [1, 2], ids=["x_only", "z_only"])
+def test_decode_table_matches_oracle_on_single_type_patterns(code):
+    words = (np.arange(512)[:, None] >> np.arange(9)) & 1
+    _assert_table_matches_oracle(words * code)
+
+
+def test_decode_table_matches_oracle_on_random_mixed_patterns():
+    _assert_table_matches_oracle(np.random.default_rng(40).integers(0, 4, size=(2000, 9)))
+
+
+@pytest.mark.parametrize("p_eq, rate", [
+    (0.005, 0.0003928435015514469),
+    (0.105, 0.12091034074445692),
+    (0.3, 0.49651276799999977),
+])
+def test_exact_logical_rate_is_pinned(p_eq, rate):
+    # the rates of the per-triple decoder logic: the table must select the same patterns
+    assert exact_logical_rate(DepolarizingParams.from_total(p_eq)) == rate

@@ -362,6 +362,23 @@ def test_cli_qsdc_trace_bytes_fixed_seed(tmp_path, capsys):
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("golden, flags", [
+    ("qsdc_golden_boost.csv", ["--eve", "boost:0.1"]),
+    ("qsdc_golden_swap.csv", ["--eve", "swap:0.3"]),
+    ("qsdc_golden_boost_noshor.csv", ["--eve", "boost:0.1", "--no-shor"]),
+], ids=["boost", "swap", "boost_no_shor"])
+def test_attack_sessions_match_golden_csv(tmp_path, capsys, golden, flags, threads):
+    # the README attack command and two variants: 100 sessions of up to three
+    # attempts pin the decoy positions, the transit draws and the verdicts
+    out = tmp_path / "sessions.csv"
+    assert main([
+        "qsdc", "--sessions", "100", "-n", "16", "-m", "100", "--p-e", "0.005",
+        *flags, "--threads", str(threads), "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (pathlib.Path(__file__).parent / "data" / golden).read_bytes()
+
+
 def test_readme_cli_commands_parse():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
