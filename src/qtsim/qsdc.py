@@ -29,7 +29,9 @@ phase (the phase machine raises).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -81,8 +83,24 @@ class QsdcConfig:
             warnings.warn(
                 f"m_virtual = {self.m_virtual} gives coarse detection; "
                 "more virtual pairs make the check more precise",
-                stacklevel=3,  # past the generated __init__, to the caller
+                stacklevel=_caller_stacklevel(),
             )
+
+
+def _caller_stacklevel() -> int:
+    """``warnings.warn`` stack level of the code that built a config.
+
+    That is the first frame, from ``__post_init__`` out, outside this module
+    and the dataclass machinery: the generated ``__init__``, and
+    ``dataclasses.replace`` when a config is made from another.
+    """
+    inside = (__file__, dataclasses.__file__)
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and (
+        frame.f_code.co_filename in inside or frame.f_code is QsdcConfig.__init__.__code__
+    ):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @lru_cache(maxsize=4)

@@ -38,7 +38,9 @@ def _cfg(**kw):
 
 def test_distribute_counts_and_states():
     rng = np.random.default_rng(80)
-    state = distribute_pairs(_cfg(n_pairs=3, m_virtual=1), rng)
+    with pytest.warns(UserWarning, match="coarse detection"):
+        cfg = _cfg(n_pairs=3, m_virtual=1)
+    state = distribute_pairs(cfg, rng)
     assert len(state.pair_states) == 4
     assert len(state.virtual_positions) == 1
     virtual = make_bell(PSI_PLUS)
@@ -91,6 +93,11 @@ def test_config_validation():
 def test_coarse_detection_warning_names_the_line_that_built_the_config():
     with pytest.warns(UserWarning, match="coarse detection") as rec:
         QsdcConfig(m_virtual=5)
+    assert rec[0].filename == __file__
+    # dataclasses.replace adds a frame between the caller and __init__
+    base = QsdcConfig()
+    with pytest.warns(UserWarning, match="coarse detection") as rec:
+        replace(base, m_virtual=5)
     assert rec[0].filename == __file__
 
 

@@ -453,7 +453,9 @@ def test_saturated_single_block_takes_windowed_branch(monkeypatch, magnitude):
     llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg).to_bits())
     with np.errstate(all="raise"):
         assert np.array_equal(turbo_decode(llrs, cfg), info)
-    assert len(calls) == 2 * cfg.iterations and min(calls) > 1
+    # decoder 1's a-priori LLRs after iteration 2 of 4 equal those after
+    # iteration 1, so the decode stops after two iterations of two passes
+    assert len(calls) == 4 and min(calls) > 1
 
 
 def test_erased_single_block_takes_windowed_branch(monkeypatch):
@@ -461,7 +463,9 @@ def test_erased_single_block_takes_windowed_branch(monkeypatch):
     cfg = TurboConfig(block_length=2048, iterations=2)
     with np.errstate(all="raise"):
         turbo_decode(np.zeros(coded_block_bits(cfg)), cfg)
-    assert len(calls) == 2 * cfg.iterations and min(calls) > 1
+    # all extrinsic LLRs of iteration 1 are zero, as before it: a fixed
+    # point, so the decode stops after one iteration of two passes
+    assert len(calls) == 2 and min(calls) > 1
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -473,3 +477,134 @@ def test_link_scale_llrs_decode_without_fp_exceptions(batch):
     llrs = 2.8e12 * (1.0 - 2.0 * turbo_encode_batch(infos, cfg))
     with np.errstate(all="raise"):
         assert np.array_equal(turbo_decode_batch(llrs, cfg), infos)
+
+
+# ---------------------------------------------------------------------------
+# cycle exit: a block stops once its a-priori LLRs repeat, with the same bits
+# ---------------------------------------------------------------------------
+
+def _reference_decode(llrs, cfg, siso=_log_map):
+    """The fixed-count loop's trace and each block's first repeat period.
+
+    The period is 1 where decoder 1's a-priori input of some iteration
+    equals, bitwise, that of the iteration before, 2 where it equals that
+    of two iterations before, and 0 where no input repeats.
+    """
+    inputs = []
+
+    def spy(l_sys, l_par, l_apriori, trellis, terminated):
+        if terminated:
+            inputs.append(l_apriori.view(np.int64).copy())
+        return siso(l_sys, l_par, l_apriori, trellis, terminated)
+
+    trace = _iterate(llrs, cfg, spy, iteration_trace=True)
+    periods = np.zeros(len(llrs), dtype=int)
+    for i in range(1, len(inputs)):
+        for period in (1, 2):
+            if i >= period:
+                repeats = (inputs[i] == inputs[i - period]).all(axis=1)
+                periods[(periods == 0) & repeats] = period
+    return trace, periods
+
+
+def _assert_decodes_like(llrs, cfg, trace):
+    decoded = turbo_decode_batch(llrs, cfg, iteration_trace=True)
+    assert len(decoded) == len(trace)
+    for got, expected in zip(decoded, trace):
+        assert got.dtype == np.int8 and np.array_equal(got, expected)
+    assert np.array_equal(turbo_decode_batch(llrs, cfg), trace[-1])
+
+
+@lru_cache(maxsize=None)
+def _corpus_reference(snr_db):
+    return _reference_decode(_rician_corpus(snr_db)[1], TurboConfig())
+
+
+@pytest.mark.parametrize("snr_db", [-1.5, 0.0, 2.0, 4.0, 8.0])
+def test_cycle_exit_decodes_like_full_iterations(snr_db):
+    # 128 and 5 blocks run one window, 3 and 2 blocks 32 windows; each
+    # batch of 2 or more gives every block the same bits
+    cfg = TurboConfig()
+    llrs = _rician_corpus(snr_db)[1]
+    trace, periods = _corpus_reference(snr_db)
+    _assert_decodes_like(llrs, cfg, trace)
+    _assert_decodes_like(llrs[:5], cfg, [step[:5] for step in trace])
+    for batch in (2, 3):
+        _assert_decodes_like(llrs[:batch], cfg, _reference_decode(llrs[:batch], cfg)[0])
+    if snr_db >= 4.0:
+        # every block repeats, some in a 2-cycle
+        assert periods.all() and (periods == 2).any()
+
+
+def test_cycle_exit_windowed_single_block():
+    cfg = TurboConfig()
+    llrs = _rician_corpus(8.0)[1]
+    _, periods = _corpus_reference(8.0)
+    for row in (np.argmax(periods == 1), np.argmax(periods == 2)):
+        trace, period = _reference_decode(llrs[row:row + 1], cfg)
+        assert period[0] == periods[row]
+        _assert_decodes_like(llrs[row:row + 1], cfg, trace)
+
+
+def test_cycle_exit_max_log():
+    # max-log extrinsic LLRs grow at every iteration on these frames; erased
+    # frames reach a fixed point after one, so the batch shrinks from 9 to 6
+    cfg = TurboConfig(decoder="max_log_map")
+    llrs = np.concatenate([_rician_corpus(snr_db)[1][:3] for snr_db in (0.0, 4.0)])
+    llrs = np.insert(llrs, [0, 2, 6], 0.0, axis=0)
+    trace, periods = _reference_decode(llrs, cfg, partial(_bcjr, max_log=True))
+    assert periods.tolist() == [1, 0, 0, 1, 0, 0, 0, 0, 1]
+    _assert_decodes_like(llrs, cfg, trace)
+
+
+def test_cycle_exit_keeps_two_columns_and_one_window(monkeypatch):
+    # 127 blocks that repeat and one in the waterfall that does not: the
+    # batch shrinks to the waterfall block and one block kept beside it
+    cfg = TurboConfig()
+    llrs = np.concatenate([_rician_corpus(4.0)[1][:127], _rician_corpus(-1.5)[1][:1]])
+    trace, periods = _reference_decode(llrs, cfg)
+    assert periods[:127].all() and periods[127] == 0
+    windowed = _count_windowed_passes(monkeypatch)
+    columns = []
+
+    def spy(l_sys, *args, **kwargs):
+        columns.append(l_sys.shape[0])
+        return log_map(l_sys, *args, **kwargs)
+
+    log_map = turbo_mod._log_map
+    monkeypatch.setattr(turbo_mod, "_log_map", spy)
+    _assert_decodes_like(llrs, cfg, trace)
+    assert columns[0] == 128 and min(columns) == 2 and columns[-1] == 2
+    assert not windowed
+
+
+def _exchange_siso(l_sys, l_par, l_apriori, trellis, terminated, **_):
+    """A stand-in constituent decoder with exact, chosen dynamics.
+
+    Decoder 1 gives extrinsic 4 * parity before the first exchange and the
+    negated a-priori input after it; decoder 2 passes its a-priori input on,
+    times its parity input.  With dyadic inputs every sum is exact, so a
+    block whose decoder-2 parity is 1 alternates its a-priori LLRs and its
+    decisions (a 2-cycle), one with parity 2 doubles them at each iteration,
+    and one with decoder-1 parity 0 stays at zero (a fixed point).
+    """
+    if terminated:
+        extrinsic = np.where(l_apriori == 0, 4 * l_par, -l_apriori)
+    else:
+        extrinsic = l_apriori * l_par
+    return l_sys + l_apriori + extrinsic
+
+
+def test_cycle_exit_fills_alternating_decisions(monkeypatch):
+    cfg = TurboConfig(block_length=40)
+    rng = np.random.default_rng(78)
+    systematic = rng.choice([-0.5, 0.5], size=(4, 40))
+    parity1 = rng.choice([-1.0, 1.0], size=(4, 40))
+    parity1[0] = 0.0
+    parity2 = np.repeat([[1.0], [2.0], [1.0], [1.0]], 40, axis=1)
+    llrs = np.concatenate([systematic, parity1, parity2, np.zeros((4, 6))], axis=1)
+    trace, periods = _reference_decode(llrs, cfg, _exchange_siso)
+    assert periods.tolist() == [1, 0, 2, 2]
+    assert not np.array_equal(trace[-1][2:], trace[-2][2:])
+    monkeypatch.setattr(turbo_mod, "_log_map", _exchange_siso)
+    _assert_decodes_like(llrs, cfg, trace)
