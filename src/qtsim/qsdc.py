@@ -12,8 +12,12 @@ Session flow (one attempt):
   4. on accept, payload qubits are teleported over the surviving real
      pairs, with the measurement bits protected by the Turbo/QPSK/Rician
      classical chain; each arrives under one residual Pauli (pair frame
-     times bit errors) and is judged in one vectorized call by its Bloch
-     component along it (``teleport.teleport_errors``).
+     times bit errors) and is judged by its Bloch component along it.
+     ``teleport.teleport_frames`` runs this step, for teleport sweeps too.
+
+An attempt holds its decoy slots as one sorted index array.  A session
+retries an aborted attempt up to ``max_retries`` times and returns one
+report, from its last attempt.
 
 Every quantum step (Bell preparation, Shor encoding and decoding, Pauli
 noise, the swap attack, teleportation) is Clifford, so each pair is
@@ -40,11 +44,10 @@ from functools import lru_cache
 import numpy as np
 
 from .cchannel import RicianParams
-from .link import send_bits
 from .qchannel import DepolarizingParams, EveModel, NO_EVE, effective_params
 from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
 from .shor import exact_logical_rate, transit_flags
-from .teleport import teleport_errors
+from .teleport import teleport_frames
 from .turbo import TurboConfig
 
 
@@ -112,11 +115,13 @@ def _bell_state(phase_bit: int, parity_bit: int) -> StateVector:
 class SessionState:
     phase_bits: np.ndarray  # Bell frame of pair i: (phase_bits[i], parity_bits[i])
     parity_bits: np.ndarray
-    virtual_positions: frozenset[int]
+    virtual_positions: np.ndarray  # decoy slots, sorted on construction
     phase: str = "distributed"
     virtual_qber: float | None = None
-    decision: str | None = None
     pair_trace: list[tuple] | None = field(default_factory=list)  # None: not recorded
+
+    def __post_init__(self):
+        self.virtual_positions = np.sort(np.asarray(self.virtual_positions, dtype=np.intp))
 
     @property
     def pair_states(self) -> tuple[StateVector, ...]:
@@ -137,7 +142,7 @@ class QsdcReport:
     decision: str
     payload_qber: float | None
     eve_present_truth: bool
-    per_phase_timings: dict[str, float]
+    per_phase_timings: dict[str, float] = field(default_factory=dict)
     classical_ber: float | None = None
     attempts: int = 1
     pair_trace: tuple = ()  # (attempt, kind, position, bit_a, bit_b, ok) rows
@@ -155,18 +160,7 @@ def distribute_pairs(cfg: QsdcConfig, rng) -> SessionState:
     parity_bits = np.full(total, PHI_PLUS.parity_bit, dtype=np.int8)
     phase_bits[chosen] = PSI_PLUS.phase_bit
     parity_bits[chosen] = PSI_PLUS.parity_bit
-    return SessionState(
-        phase_bits=phase_bits,
-        parity_bits=parity_bits,
-        virtual_positions=frozenset(chosen.tolist()),
-    )
-
-
-def _virtual_index(state: SessionState) -> np.ndarray:
-    """The decoy positions as a sorted int array."""
-    positions = np.fromiter(state.virtual_positions, np.intp, len(state.virtual_positions))
-    positions.sort()
-    return positions
+    return SessionState(phase_bits, parity_bits, chosen)
 
 
 def transmit_protected(state: SessionState, cfg: QsdcConfig, rng) -> SessionState:
@@ -205,7 +199,7 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     sender then measures her halves and counts non-opposite outcomes.
     """
     state.require_phase("decoded")
-    positions = _virtual_index(state)
+    positions = state.virtual_positions
     # The receiver's Z outcome is uniform; the sender's differs from it by
     # the pair's parity bit, so the outcomes are opposite, as
     # (|01>+|10>)/sqrt(2) requires, exactly where that bit is set.
@@ -224,14 +218,12 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     threshold = resolve_threshold(cfg)
     decision = "accept" if virtual_qber <= threshold else "abort"
     state.virtual_qber = virtual_qber
-    state.decision = decision
     state.phase = "verified" if decision == "accept" else "aborted"
     return QsdcReport(
         virtual_qber=virtual_qber,
         decision=decision,
         payload_qber=None,
         eve_present_truth=cfg.eve.mode != "none",
-        per_phase_timings={},
     )
 
 
@@ -242,24 +234,18 @@ def teleport_payload(
     if state.phase == "aborted":
         raise ProtocolError("aborted session cannot carry payload")
     state.require_phase("verified")
-    is_real = np.ones(len(state.phase_bits), dtype=bool)
-    is_real[_virtual_index(state)] = False
-    real_positions = np.flatnonzero(is_real)
+    real_positions = np.delete(np.arange(len(state.phase_bits)), state.virtual_positions)
     if len(payload) > len(real_positions):
         raise ValueError(
             f"payload of {len(payload)} exceeds {len(real_positions)} surviving pairs"
         )
 
-    # The sender's Bell outcome is uniform whatever the pair and payload are.
-    sent_bits = rng.integers(0, 2, size=2 * len(payload), dtype=np.int8)
-    received = send_bits(
-        sent_bits, rng, snr_db=cfg.snr_db, rician=cfg.rician,
-        turbo_cfg=cfg.turbo if cfg.use_turbo else None, bypass_ber=cfg.classical_bypass_ber,
-    )
     used = real_positions[: len(payload)]
-    errors = teleport_errors(
+    sent_bits, received, errors = teleport_frames(
         np.reshape([psi.amplitudes for psi in payload], (len(payload), 2)),
-        state.parity_bits[used], state.phase_bits[used], sent_bits, received,
+        state.parity_bits[used], state.phase_bits[used], rng, snr_db=cfg.snr_db,
+        rician=cfg.rician, turbo_cfg=cfg.turbo if cfg.use_turbo else None,
+        bypass_ber=cfg.classical_bypass_ber,
     )
     if state.pair_trace is not None:
         state.pair_trace.extend(
@@ -277,7 +263,6 @@ def teleport_payload(
         decision="accept",
         payload_qber=payload_qber,
         eve_present_truth=cfg.eve.mode != "none",
-        per_phase_timings={},
         classical_ber=classical_ber,
     )
 
@@ -321,10 +306,7 @@ def run_session(
     """
     timings: dict[str, float] = {}
     trace: list[tuple] = []
-    last_report = None
-    attempts = 0
     for attempt in range(cfg.max_retries):
-        attempts += 1
         rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 0x5E55, session_id, attempt))
         )
@@ -340,20 +322,14 @@ def run_session(
         timings["distribute"] = timings.get("distribute", 0.0) + (t1 - t0)
         timings["transmit"] = timings.get("transmit", 0.0) + (t2 - t1)
         timings["verify"] = timings.get("verify", 0.0) + (t3 - t2)
-        last_report = report
-        if report.decision == "accept":
-            if payload:
-                report = teleport_payload(state, payload, cfg, rng)
-                timings["payload"] = time.perf_counter() - t3
-            if collect_trace:
-                trace.extend((attempt,) + row for row in state.pair_trace)
-            return replace(
-                report, per_phase_timings=timings, attempts=attempts,
-                pair_trace=tuple(trace),
-            )
+        accepted = report.decision == "accept"
+        if accepted and payload:
+            report = teleport_payload(state, payload, cfg, rng)
+            timings["payload"] = time.perf_counter() - t3
         if collect_trace:
             trace.extend((attempt,) + row for row in state.pair_trace)
+        if accepted:
+            break
     return replace(
-        last_report, per_phase_timings=timings, attempts=attempts,
-        pair_trace=tuple(trace),
+        report, per_phase_timings=timings, attempts=attempt + 1, pair_trace=tuple(trace)
     )

@@ -119,7 +119,7 @@ def _checks():
         stream = _ScriptedRng([uniform[e] for p in patterns for e in p.errors])
         clean = np.zeros(len(patterns), dtype=np.int8)  # every pair in PHI_PLUS
         cfg = QsdcConfig(n_pairs=len(patterns), depol=DepolarizingParams.from_total(0.3))
-        session = SessionState(clean, clean, frozenset())
+        session = SessionState(clean, clean, ())
         pairs = transmit_protected(session, cfg, stream).pair_states
         encoded, block = shor_encode(make_bell(PHI_PLUS), 1)
         return len(pairs) == len(patterns) and all(

@@ -36,7 +36,7 @@ from .qchannel import DepolarizingParams, EveModel, NO_EVE
 from .qsdc import QsdcConfig, resolve_threshold, run_session
 from .qstate import random_state
 from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
-from .teleport import DEFAULT_TEST_STATE, teleport_errors
+from .teleport import DEFAULT_TEST_STATE, teleport_frames
 from .turbo import TurboConfig
 
 
@@ -205,36 +205,24 @@ def _classical_point(spec: SweepSpec, snr_db: float, i_snr: int) -> list[dict]:
 # qber_vs_snr / teleport_demo: teleportation with noisy pre-shared pairs
 # ---------------------------------------------------------------------------
 
-def _teleport_batch(spec: SweepSpec, snr_db: float, rng, x_flip, z_flip):
-    """Vectorized teleport trials over pairs with the given (x, z) frame flags.
-
-    The sender's outcome is uniform whatever the frame; its bits cross the
-    link, and ``teleport.teleport_errors`` judges each trial's payload
-    (``DEFAULT_TEST_STATE``) under the frame times the bit errors, as it
-    judges a session's payload.
-    """
-    n_trials = len(x_flip)
-    outcomes = np.minimum((4.0 * rng.random(n_trials)).astype(np.int8), 3)
-    bits = np.empty(2 * n_trials, dtype=np.int8)
-    bits[0::2] = outcomes >> 1
-    bits[1::2] = outcomes & 1
-    received = send_bits(
-        bits, rng, snr_db=snr_db, rician=spec.rician,
-        turbo_cfg=spec.turbo if spec.use_turbo else None,
-        bypass_ber=spec.classical_bypass_ber, coherence=spec.coherence,
-    )
-    wrong = teleport_errors(DEFAULT_TEST_STATE.amplitudes, x_flip, z_flip, bits, received)
-    n_flipped = int(np.count_nonzero(bits != received))
-    return int(np.count_nonzero(wrong)), n_trials, n_flipped, 2 * n_trials
-
-
 def _qber_chunk(job) -> tuple[int, int, int, int]:
+    """Payload errors, trials, bit errors and bits sent of ``n_trials`` teleports.
+
+    Each trial teleports ``DEFAULT_TEST_STATE`` over a pair that crossed the
+    channel, through ``teleport.teleport_frames`` as a session's payload does.
+    """
     spec, snr_db, p_eq, i_snr, i_p, chunk_idx, n_trials = job
     rng = _rng_for(spec, i_snr, i_p, chunk_idx)
     x_flip, z_flip = transit_flags(
         DepolarizingParams.from_total(p_eq), rng, n_trials, protected=spec.use_shor
     )
-    return _teleport_batch(spec, snr_db, rng, x_flip, z_flip)
+    sent, received, wrong = teleport_frames(
+        DEFAULT_TEST_STATE.amplitudes, x_flip, z_flip, rng, snr_db=snr_db,
+        rician=spec.rician, turbo_cfg=spec.turbo if spec.use_turbo else None,
+        bypass_ber=spec.classical_bypass_ber, coherence=spec.coherence,
+    )
+    n_flipped = int(np.count_nonzero(sent != received))
+    return int(np.count_nonzero(wrong)), n_trials, n_flipped, sent.size
 
 
 def _qber_point(spec: SweepSpec, snr_db: float, p_eq: float, i_snr: int, i_p: int) -> list[dict]:

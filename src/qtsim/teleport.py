@@ -5,6 +5,10 @@ the receiver holds qubit 2.  The sender entangles and measures, two classical
 bits travel to the receiver, and the receiver applies the conditional
 correction.  With clean channels the protocol is exact.
 
+These state-vector circuits are the oracle.  Sessions and teleport sweeps
+run ``teleport_frames``: every step is Clifford, so a payload qubit arrives
+under one residual Pauli, and one vectorized call judges a whole batch.
+
 Classical bit order on the wire is (m1, m2) with m1 the measurement of the
 Hadamard-ed payload qubit.  The correction for outcome (1, 1) is X first,
 then Z - the unique order that restores |psi> from a|1> - b|0>.
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .link import send_bits
 from .qstate import (
     PHI_PLUS,
     PauliError,
@@ -117,6 +122,19 @@ def teleport_errors(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
     z = np.asarray(pair_z) != flipped[0::2]
     component = np.where(x, np.where(z, bloch_y, bloch_x), np.where(z, bloch_z, 1.0))
     return component**2 < 1.0 - ERROR_FIDELITY_TOL
+
+
+def teleport_frames(amplitudes, pair_x, pair_z, rng, **link):
+    """Teleport payload qubits over pairs with the given frame flags.
+
+    The sender's (m1, m2) outcome is uniform whatever the pair and payload
+    are, so it is drawn as bits; they cross the classical link
+    (``link.send_bits`` with the ``link`` keywords), and ``teleport_errors``
+    judges each qubit.  Returns (sent, received, errors).
+    """
+    sent = rng.integers(0, 2, size=2 * len(pair_x), dtype=np.int8)
+    received = send_bits(sent, rng, **link)
+    return sent, received, teleport_errors(amplitudes, pair_x, pair_z, sent, received)
 
 
 def teleport_once(

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-import qtsim.qsdc as qsdc_mod
 import qtsim.sweeps as sweeps_mod
+import qtsim.teleport as teleport_mod
 from qtsim.cchannel import RicianParams
 from qtsim.link import send_bits
 from qtsim.sweeps import SweepSpec, render_csv, run_sweep
@@ -29,20 +29,21 @@ def test_noiseless_link_still_applies_bypass_flips():
     assert 800 < np.count_nonzero(out) < 1200
 
 
-def _draw_after_send_bits(monkeypatch, module):
-    """Make every ``send_bits`` call of ``module`` move its rng on afterwards."""
-    real = module.send_bits
+def _draw_after_send_bits(monkeypatch, *modules):
+    """Make every ``send_bits`` call of ``modules`` move its rng on afterwards."""
+    real = send_bits
 
     def send_then_draw(bits, rng, **link):
         out = real(bits, rng, **link)
         rng.random(3)
         return out
 
-    monkeypatch.setattr(module, "send_bits", send_then_draw)
+    for module in modules:
+        monkeypatch.setattr(module, "send_bits", send_then_draw)
 
 
 _FINITE_SNR_SPECS = [
-    # _teleport_batch, with the turbo link (2 blocks), the uncoded link and bit flips
+    # teleport_frames, with the turbo link (2 blocks), the uncoded link and bit flips
     SweepSpec("qber_vs_snr", snr_grid_db=(0.0,), p_eq_list=(0.05,), trials_per_point=1000,
               seed=3),
     SweepSpec("teleport_demo", snr_grid_db=(2.0,), p_eq_list=(0.05,), trials_per_point=3000,
@@ -58,7 +59,7 @@ _FINITE_SNR_SPECS = [
 def test_no_sweep_kernel_reads_the_rng_after_send_bits(monkeypatch, spec):
     # So the draws the noiseless bypass skips cannot change any output.
     expected = render_csv(spec, run_sweep(spec))
-    _draw_after_send_bits(monkeypatch, sweeps_mod)
+    _draw_after_send_bits(monkeypatch, sweeps_mod, teleport_mod)
     assert render_csv(spec, run_sweep(spec)) == expected
 
 
@@ -66,6 +67,6 @@ def test_teleport_payload_reads_no_rng_after_send_bits(monkeypatch, tmp_path):
     spec = SweepSpec("qsdc_batch", snr_grid_db=(0.0,), p_eq_list=(0.02,), trials_per_point=6,
                      seed=7, n_pairs=8, m_virtual=20, payload_per_session=4, use_shor=True)
     expected = render_csv(spec, run_sweep(spec, trace_path=str(tmp_path / "a.txt")))
-    _draw_after_send_bits(monkeypatch, qsdc_mod)
+    _draw_after_send_bits(monkeypatch, teleport_mod)
     assert render_csv(spec, run_sweep(spec, trace_path=str(tmp_path / "b.txt"))) == expected
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

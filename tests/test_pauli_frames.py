@@ -88,7 +88,7 @@ def _host_session(host, n: int) -> SessionState:
     return SessionState(
         phase_bits=np.full(n, host.phase_bit, dtype=np.int8),
         parity_bits=np.full(n, host.parity_bit, dtype=np.int8),
-        virtual_positions=frozenset(),
+        virtual_positions=(),
     )
 
 
@@ -198,7 +198,7 @@ def test_verify_bits_follow_the_measured_bell_pair():
     state = _host_session(PHI_PLUS, 2000)
     state.phase_bits[:] = [kinds[i % 4].phase_bit for i in range(2000)]
     state.parity_bits[:] = [kinds[i % 4].parity_bit for i in range(2000)]
-    state.virtual_positions = frozenset(range(2000))
+    state.virtual_positions = np.arange(2000)
     state.phase = "decoded"
     report = verify_virtual(state, cfg, rng)
     bob_ones = 0

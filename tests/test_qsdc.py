@@ -106,7 +106,7 @@ def test_coarse_detection_warning_names_the_line_that_built_the_config():
 # ---------------------------------------------------------------------------
 
 def test_verify_and_payload_read_assigned_virtual_positions():
-    # a hand-built state: decoys at 1 and 8 (a set that iterates as 8, 1),
+    # a hand-built state: decoys at 1 and 8 (given unsorted, as 8, 1),
     # the pair at 8 flipped to even parity
     with pytest.warns(UserWarning):
         cfg = _cfg(n_pairs=8, m_virtual=2, threshold=0.6)
@@ -115,9 +115,12 @@ def test_verify_and_payload_read_assigned_virtual_positions():
     state = SessionState(
         phase_bits=np.zeros(10, dtype=np.int8),
         parity_bits=parity_bits,
-        virtual_positions=frozenset({8, 1}),
+        virtual_positions=[8, 1],
         phase="decoded",
     )
+    assert state.virtual_positions.tolist() == [1, 8]
+    with pytest.raises(TypeError):  # a set has no order to keep
+        SessionState(state.phase_bits, parity_bits, {8, 1})
     rng = np.random.default_rng(96)
     report = verify_virtual(state, cfg, rng)
     assert report.virtual_qber == 0.5 and report.decision == "accept"

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtsim.qsdc as qsdc_mod
 import qtsim.sweeps as sweeps_mod
+import qtsim.teleport as teleport_mod
 from qtsim.cli import _sweep_spec, build_parser, main, parse_command, parse_eve
 from qtsim.metrics import wilson_interval
 from qtsim.qchannel import DepolarizingParams
@@ -50,7 +52,6 @@ def test_teleport_batch_matches_protocol_path(monkeypatch):
             return 0.1 if self._bits.pop(0) else 0.9
 
     n = 64
-    spec = SweepSpec(sweep_kind="qber_vs_snr", use_turbo=False)
     for (x, z), pauli in PAULI_FROM_FLAGS.items():
         for error in itertools.product((0, 1), repeat=2):
             sent = []
@@ -59,10 +60,13 @@ def test_teleport_batch_matches_protocol_path(monkeypatch):
                 sent.append(bits.copy())
                 return bits ^ np.tile(np.array(error, dtype=np.int8), n)
 
-            monkeypatch.setattr(sweeps_mod, "send_bits", flip)
-            counts = sweeps_mod._teleport_batch(
-                spec, 0.0, np.random.default_rng(1), np.full(n, bool(x)), np.full(n, bool(z))
+            monkeypatch.setattr(teleport_mod, "send_bits", flip)
+            sent_bits, received, wrong = teleport_mod.teleport_frames(
+                DEFAULT_TEST_STATE.amplitudes, np.full(n, bool(x)), np.full(n, bool(z)),
+                np.random.default_rng(1),
             )
+            counts = (int(wrong.sum()), wrong.size, int((sent_bits != received).sum()),
+                      sent_bits.size)
             verdicts = {
                 teleport_once(DEFAULT_TEST_STATE, classical_error=error,
                               pauli_on_pair=pauli, rng=_Force(m1, m2)).is_error
@@ -72,6 +76,19 @@ def test_teleport_batch_matches_protocol_path(monkeypatch):
             assert counts == (n * verdicts.pop(), n, n * sum(error), 2 * n)
             outcomes = 2 * sent[0][0::2] + sent[0][1::2]
             assert set(outcomes.tolist()) == {0, 1, 2, 3}
+
+
+def test_sessions_and_teleport_sweeps_teleport_through_one_kernel(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("teleport kernel")
+
+    for module in (teleport_mod, sweeps_mod, qsdc_mod):
+        monkeypatch.setattr(module, "teleport_frames", broken)
+    point = SweepSpec("qber_vs_snr", p_eq_list=(0.05,), trials_per_point=1000)
+    assert run_sweep(point)[0]["error"] == "RuntimeError: teleport kernel"
+    sessions = SweepSpec("qsdc_batch", trials_per_point=2, n_pairs=4, m_virtual=20,
+                         payload_per_session=2)
+    assert [row["error"] for row in run_sweep(sessions)] == ["RuntimeError: teleport kernel"] * 2
 
 
 def test_fast_and_slow_qber_paths_agree_statistically():
