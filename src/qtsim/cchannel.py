@@ -7,7 +7,8 @@ The fading coefficient is
 
 with H_los = exp(i*los_phase) deterministic and H_nlos circularly-symmetric
 complex Gaussian of unit variance, so E[|H|^2] = p0/d^2 for every zeta.
-zeta = 0 is pure Rayleigh scatter; zeta -> inf is a clean line-of-sight link.
+zeta = 0 is pure Rayleigh scatter; as zeta -> inf (zeta itself must be
+finite) the link tends to a clean line of sight.
 
 SNR convention: ``snr_db`` is average received symbol energy over noise
 spectral density, Es/N0, with Es measured at the modulator (unit-energy
@@ -38,12 +39,14 @@ class RicianParams:
     los_phase: float = 0.0
 
     def __post_init__(self):
-        if self.p0 <= 0:
-            raise ValueError("p0 must be positive")
-        if self.d <= 0:
-            raise ValueError("d must be positive")
-        if self.zeta < 0:
-            raise ValueError("zeta must be >= 0")
+        if not (math.isfinite(self.p0) and self.p0 > 0):
+            raise ValueError(f"p0 must be finite and positive, got {self.p0}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError(f"d must be finite and positive, got {self.d}")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0):
+            raise ValueError(f"zeta must be finite and >= 0, got {self.zeta}")
+        if not math.isfinite(self.los_phase):
+            raise ValueError(f"los_phase must be finite, got {self.los_phase}")
 
     @property
     def mean_power(self) -> float:
@@ -118,8 +121,11 @@ def transmit(
     """y_k = H_k * x_k + n_k with noise set by the frame's Es/N0.
 
     ``coherence`` 'per_symbol' draws an independent H per symbol;
-    'per_frame' holds one H for the whole frame.
+    'per_frame' holds one H for the whole frame.  Es/N0 = +inf is a
+    noiseless link; NaN and -inf are refused.
     """
+    if math.isnan(frame.snr_db) or frame.snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {frame.snr_db}")
     x = frame.symbols
     if coherence == "per_symbol":
         h = fading_coefficients(params, rng, x.size)
@@ -127,7 +133,7 @@ def transmit(
         h = np.full(x.size, fading_coefficient(params, rng))
     else:
         raise ValueError(f"unknown coherence mode {coherence!r}")
-    if math.isinf(frame.snr_db):
+    if frame.snr_db == math.inf:
         noise_var = 0.0
         y = h * x
     else:

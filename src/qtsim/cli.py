@@ -68,8 +68,9 @@ def parse_eve(text: str) -> EveModel:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Line-oriented key=value config; '#' starts a comment."""
+    """Line-oriented key=value config; '#' starts a comment; a key appears once."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -78,8 +79,13 @@ def load_config(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise CliConfigError(f"{path}:{lineno}: expected key=value")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in first_line:
+                    raise CliConfigError(
+                        f"{path}:{lineno}: {key!r} already set on line {first_line[key]}"
+                    )
+                first_line[key] = lineno
+                values[key] = value
     except OSError as exc:
         raise CliConfigError(f"cannot read config {path}: {exc}") from exc
     return values

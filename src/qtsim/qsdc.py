@@ -82,6 +82,12 @@ class QsdcConfig:
             raise ValueError("threshold must lie in (0, 1)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        if self.classical_bypass_ber is not None and not 0.0 <= self.classical_bypass_ber <= 1.0:
+            raise ValueError(
+                f"classical_bypass_ber must lie in [0, 1], got {self.classical_bypass_ber}"
+            )
         if self.m_virtual < 20:
             warnings.warn(
                 f"m_virtual = {self.m_virtual} gives coarse detection; "

@@ -5,6 +5,8 @@ worker count: trials are cut into fixed-size chunks, each chunk re-derives
 its own rng stream from (seed, kind, point indices, chunk index), and chunk
 results merge in chunk order.  ``wall_ms`` is written as 0 unless timing is
 explicitly enabled, so default CSV output is byte-stable run to run.
+``qber_vs_snr`` and ``teleport_demo`` trials teleport through
+``teleport.teleport_frames``, the kernel a session's payload goes through.
 
 CSV schema (curve sweeps), one row per grid point:
 
@@ -134,6 +136,13 @@ class SweepSpec:
             raise ValueError("threads must be >= 1")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "p_eq_list", tuple(float(p) for p in self.p_eq_list))
+        bad = [s for s in self.snr_grid_db if math.isnan(s) or s == -math.inf]
+        if bad:
+            raise ValueError(f"snr_db values must be numbers or +inf, got {bad}")
+        if self.classical_bypass_ber is not None and not 0.0 <= self.classical_bypass_ber <= 1.0:
+            raise ValueError(
+                f"classical_bypass_ber must lie in [0, 1], got {self.classical_bypass_ber}"
+            )
         reads = {*_RUN_FIELDS, *SWEEP_KIND_READS[self.sweep_kind].fields}
         unread = [
             f.name for f in fields(self) if f.name not in reads and getattr(self, f.name) != (

@@ -98,6 +98,18 @@ def test_params_validation():
         RicianParams(p0=0.0)
     with pytest.raises(ValueError):
         RicianParams(zeta=-1.0)
+    for bad in (dict(p0=math.nan), dict(p0=math.inf), dict(d=math.nan), dict(d=math.inf),
+                dict(zeta=math.nan), dict(zeta=math.inf), dict(los_phase=math.nan)):
+        with pytest.raises(ValueError):
+            RicianParams(**bad)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_transmit_refuses_nan_and_minus_inf_snr(snr_db):
+    # only +inf is a noiseless link
+    frame = qpsk_modulate(np.zeros(8, dtype=np.int8), snr_db)
+    with pytest.raises(ValueError, match="snr_db"):
+        transmit(frame, RicianParams(), np.random.default_rng(44))
 
 
 # ---------------------------------------------------------------------------

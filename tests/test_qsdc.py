@@ -88,6 +88,12 @@ def test_config_validation():
     for retries in (0, -1):
         with pytest.raises(ValueError, match="max_retries"):
             _cfg(max_retries=retries)
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            _cfg(snr_db=snr_db)
+    for ber in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="classical_bypass_ber"):
+            _cfg(classical_bypass_ber=ber)
 
 
 def test_coarse_detection_warning_names_the_line_that_built_the_config():

@@ -640,6 +640,7 @@ def test_cli_config_booleans_and_negative_grid(tmp_path):
     ("sweep", "no_turbo=flase\n"),
     ("sweep", "config=other.cfg\n"),
     ("shor-curve", "seed=1.5\n"),
+    ("sweep", "seed=1\nseed=2\n"),  # a repeated key
 ])
 def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text):
     assert main([command, "--config", _config(tmp_path, text)]) == 1
@@ -657,6 +658,17 @@ def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text
     ["sweep", "--kind", "qsdc_batch", "--p-eq", "0.1,0.2"],
     ["sweep", "--kind", "qsdc_batch", "--snr-grid", "0,4"],
     ["shor-curve", "--axis-convention", "per_pauli", "--p-eq", "0.5"],
+    ["sweep", "--kind", "classical_ber", "--snr-grid=-inf", "--no-turbo", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--snr-grid", "nan", "--no-turbo", "--trials", "1000"],
+    ["qsdc", "--snr-db", "nan", "--payload", "2", "-n", "4"],
+    ["qsdc", "--snr-db=-inf", "--payload", "2", "-n", "4"],
+    ["sweep", "--kind", "classical_ber", "--zeta", "nan", "--no-turbo", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--zeta", "inf", "--no-turbo", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--p0", "nan", "--no-turbo", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--d", "inf", "--no-turbo", "--trials", "1000"],
+    ["sweep", "--bypass-ber", "1.5", "--trials", "1000"],
+    ["sweep", "--bypass-ber=-0.5", "--trials", "1000"],
+    ["sweep", "--bypass-ber", "nan", "--trials", "1000"],
 ])
 def test_cli_input_that_would_be_dropped_exits_1(capsys, argv):
     assert main(argv) == 1
@@ -685,6 +697,13 @@ def test_spec_rejects_input_it_would_drop():
         SweepSpec(sweep_kind="qber_vs_snr", p_eq_list=(0.5,), axis_convention="per_pauli")
     with pytest.raises(ValueError, match="qsdc_batch"):
         run_sweep(SweepSpec(sweep_kind="teleport_demo", trials_per_point=10), trace_path="t.txt")
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            SweepSpec(sweep_kind="classical_ber", snr_grid_db=(0.0, snr_db))
+    for ber in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="classical_bypass_ber"):
+            SweepSpec(sweep_kind="qber_vs_snr", classical_bypass_ber=ber)
+    SweepSpec(sweep_kind="qber_vs_snr", classical_bypass_ber=1.0)
 
 
 def test_qsdc_trace_bytes_identical_across_threads(tmp_path):
