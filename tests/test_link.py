@@ -31,10 +31,8 @@ def test_noiseless_link_still_applies_bypass_flips():
 
 def _draw_after_send_bits(monkeypatch, *modules):
     """Make every ``send_bits`` call of ``modules`` move its rng on afterwards."""
-    real = send_bits
-
     def send_then_draw(bits, rng, **link):
-        out = real(bits, rng, **link)
+        out = send_bits(bits, rng, **link)
         rng.random(3)
         return out
 
