@@ -108,9 +108,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes (default: QTSIM_THREADS, else 1)")
+                        help="most worker processes, never more than chunk tasks or CPUs "
+                             "(default: QTSIM_THREADS, else 1)")
     parser.add_argument("--timing", action="store_true",
-                        help="record wall-clock ms per point (breaks byte-stable output)")
+                        help="record run ms per point or session (breaks byte-stable output)")
 
 
 def _add_channel_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,10 +1,14 @@
 """Experiment sweeps: BER/QBER curves, decoded-error curves, session batches.
 
-Every sweep is deterministic under a fixed seed and independent of the
-worker count: trials are cut into fixed-size chunks, each chunk re-derives
-its own rng stream from (seed, kind, point indices, chunk index), and chunk
-results merge in chunk order.  ``wall_ms`` is written as 0 unless timing is
-explicitly enabled, so default CSV output is byte-stable run to run.
+A sweep is a list of points (curve grid points, or sessions).  Each point
+has the row it falls back to on failure, its chunk jobs, and a merge from
+chunk results to rows; ``run_sweep`` runs all chunks as one queue, on at
+most one process pool.  Output is deterministic under a fixed seed and
+independent of the worker count: trials are cut into fixed-size chunks,
+each chunk re-derives its own rng stream from (seed, kind, point indices,
+chunk index), and each point merges its results in chunk order.
+``wall_ms`` is 0 unless timing is enabled, so default CSV output is
+byte-stable; with timing it is the summed run time of the point's chunks.
 ``qber_vs_snr`` and ``teleport_demo`` trials teleport through
 ``teleport.teleport_frames``, the kernel a session's payload goes through.
 
@@ -14,8 +18,10 @@ CSV schema (curve sweeps), one row per grid point:
     qber,qber_ci_lo,qber_ci_hi,p_shor,p_shor_exact,trials,seed,wall_ms,error
 
 ``variant`` distinguishes the uncoded and turbo curves of the classical
-sweep; ``error`` carries a message for failed points (the sweep continues).
-Session batches (kind ``qsdc_batch``) write one row per session:
+sweep; ``error`` carries a message for failed points, whose chunk raised
+or whose pool worker died (the sweep continues).  Session batches (kind
+``qsdc_batch``) write one row per session, likewise with an error row for a
+failed session:
 
     sweep_kind,session_id,decision,virtual_qber,payload_qber,classical_ber,
     attempts,n_pairs,m_virtual,threshold,p_eq,eve_mode,seed,wall_ms,error
@@ -23,11 +29,12 @@ Session batches (kind ``qsdc_batch``) write one row per session:
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .cchannel import RicianParams
 from .link import send_bits
 from .metrics import MetricAccumulator
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
-from .qsdc import QsdcConfig, resolve_threshold, run_session
+from .qsdc import QsdcConfig, QsdcReport, resolve_threshold, run_session
 from .qstate import random_state
 from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
 from .teleport import DEFAULT_TEST_STATE, teleport_frames
@@ -125,6 +132,11 @@ class SweepSpec:
             raise ValueError("a qsdc_batch runs at one snr_db and one p_eq")
         if self.payload_per_session < 0:
             raise ValueError("payload_per_session must be >= 0")
+        if self.sweep_kind == "qsdc_batch" and 0 <= self.n_pairs < self.payload_per_session:
+            raise ValueError(
+                f"payload_per_session ({self.payload_per_session}) exceeds n_pairs "
+                f"({self.n_pairs}), the pairs a session can teleport over"
+            )
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
         if self.sweep_kind in _STATISTICAL_KINDS and self.trials_per_point < 1000:
@@ -152,8 +164,10 @@ class SweepSpec:
             raise ValueError(f"sweep kind {self.sweep_kind} does not read {', '.join(unread)}")
 
 
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    return [min(chunk, total - start) for start in range(0, total, chunk)]
+def _chunk_jobs(total: int, chunk: int, *head) -> list[tuple]:
+    """``(*head, chunk index, chunk size)`` per fixed-size chunk of ``total`` trials."""
+    return [(*head, i, min(chunk, total - start))
+            for i, start in enumerate(range(0, total, chunk))]
 
 
 def _rng_for(spec: SweepSpec, *key: int):
@@ -162,12 +176,32 @@ def _rng_for(spec: SweepSpec, *key: int):
     )
 
 
-def _run_chunks(spec: SweepSpec, worker, jobs: list[tuple]):
-    """Run chunk jobs serially or on a process pool; results in job order."""
-    if spec.threads == 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-        return list(pool.map(worker, jobs, chunksize=1))
+def _run_task(worker, jobs: list[tuple]) -> list[tuple]:
+    """(result or the exception raised, run seconds) of each job of one pool task."""
+    out = []
+    for job in jobs:
+        t0 = time.perf_counter()
+        try:
+            result = worker(job)
+        except Exception as exc:  # fails the job's point, not the task's other points
+            result = exc
+        out.append((result, time.perf_counter() - t0))
+    return out
+
+
+def _run_chunks(spec: SweepSpec, worker, tasks: list[list[tuple]], consume):
+    """Run every task, and return ``consume(read)``.
+
+    ``read(t)`` gives task ``t``'s ``_run_task`` list, or raises what the pool
+    lost of it.  The tasks share at most one process pool, with no more
+    workers than tasks or CPUs; with one worker they run here, first.
+    """
+    workers = min(spec.threads, len(tasks), os.cpu_count() or 1) if spec.threads > 1 else 1
+    if workers <= 1:
+        return consume([_run_task(worker, task) for task in tasks].__getitem__)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_task, worker, task) for task in tasks]
+        return consume(lambda t: futures[t].result())
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +221,14 @@ def _ber_chunk(job) -> tuple[int, int]:
     return int(np.count_nonzero(bits != out)), n_bits
 
 
-def _classical_point(spec: SweepSpec, snr_db: float, i_snr: int) -> list[dict]:
-    n_bits = spec.trials_per_point
-    jobs = [
-        (False, spec, snr_db, i_snr, ci, n)
-        for ci, n in enumerate(_chunk_sizes(n_bits, UNCODED_CHUNK_BITS))
-    ]
-    if spec.use_turbo:
-        n_blocks = max(1, math.ceil(n_bits / spec.turbo.block_length))
-        jobs += [
-            (True, spec, snr_db, i_snr, ci, nb)
-            for ci, nb in enumerate(_chunk_sizes(n_blocks, CODED_CHUNK_BLOCKS))
-        ]
-    # Both variants' chunks share one pool, so a point starts its workers once.
+def _classical_point(spec: SweepSpec, n_uncoded: int, row: dict, results: list) -> list[dict]:
+    """The uncoded row from the first ``n_uncoded`` chunks; the turbo row from the rest."""
     uncoded, coded = MetricAccumulator(), MetricAccumulator()
-    for job, (err, tot) in zip(jobs, _run_chunks(spec, _ber_chunk, jobs)):
-        (coded if job[0] else uncoded).add(err, tot)
-
-    rows = [_curve_row(spec, "classical_ber", "uncoded", snr_db, None, ber=uncoded)]
+    for i, (err, tot) in enumerate(results):
+        (coded if i >= n_uncoded else uncoded).add(err, tot)
+    rows = [_curve_row(row, "uncoded", ber=uncoded)]
     if spec.use_turbo:
-        rows.append(_curve_row(spec, "classical_ber", "turbo", snr_db, None, ber=coded))
+        rows.append(_curve_row(row, "turbo", ber=coded))
     return rows
 
 
@@ -234,17 +256,12 @@ def _qber_chunk(job) -> tuple[int, int, int, int]:
     return int(np.count_nonzero(wrong)), n_trials, n_flipped, sent.size
 
 
-def _qber_point(spec: SweepSpec, snr_db: float, p_eq: float, i_snr: int, i_p: int) -> list[dict]:
-    jobs = [
-        (spec, snr_db, p_eq, i_snr, i_p, ci, n)
-        for ci, n in enumerate(_chunk_sizes(spec.trials_per_point, QBER_CHUNK_TRIALS))
-    ]
-    qber = MetricAccumulator()
-    ber = MetricAccumulator()
-    for qe, qn, be, bn in _run_chunks(spec, _qber_chunk, jobs):
+def _qber_point(row: dict, results: list) -> list[dict]:
+    qber, ber = MetricAccumulator(), MetricAccumulator()
+    for qe, qn, be, bn in results:
         qber.add(qe, qn)
         ber.add(be, bn)
-    return [_curve_row(spec, spec.sweep_kind, "", snr_db, p_eq, ber=ber, qber=qber)]
+    return [_curve_row(row, ber=ber, qber=qber)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +274,15 @@ def _shor_chunk(job) -> int:
     return pauli_frame_batch(axis_params(p_axis, spec.axis_convention), rng, n_trials)
 
 
-def _shor_point(spec: SweepSpec, p_axis: float, i_p: int) -> list[dict]:
-    jobs = [
-        (spec, p_axis, i_p, ci, n)
-        for ci, n in enumerate(_chunk_sizes(spec.trials_per_point, SHOR_CHUNK_TRIALS))
-    ]
-    n_logical = sum(_run_chunks(spec, _shor_chunk, jobs))
-    logical = MetricAccumulator(n_total=spec.trials_per_point, n_error=n_logical)
+def _shor_point(spec: SweepSpec, p_axis: float, row: dict, results: list) -> list[dict]:
+    logical = MetricAccumulator(n_total=spec.trials_per_point, n_error=sum(results))
     exact = exact_logical_rate(axis_params(p_axis, spec.axis_convention))
-    row = _curve_row(spec, "shor_curve", "", None, p_axis)
-    row["p_shor"] = logical.rate
-    row["p_shor_exact"] = exact
-    row["trials"] = spec.trials_per_point
-    return [row]
+    return [{**_curve_row(row), "p_shor": logical.rate, "p_shor_exact": exact}]
 
 
 # ---------------------------------------------------------------------------
 # qsdc_batch: one protocol session per trial index
 # ---------------------------------------------------------------------------
-
-def _session_cfg(spec: SweepSpec) -> QsdcConfig:
-    return QsdcConfig(
-        n_pairs=spec.n_pairs,
-        m_virtual=spec.m_virtual,
-        threshold=spec.threshold,
-        depol=DepolarizingParams.from_total(spec.p_eq_list[0]),
-        eve=spec.eve,
-        turbo=spec.turbo,
-        rician=spec.rician,
-        snr_db=spec.snr_grid_db[0],
-        seed=spec.seed,
-        use_shor=spec.use_shor,
-        use_turbo=spec.use_turbo,
-        classical_bypass_ber=spec.classical_bypass_ber,
-    )
-
 
 def session_payload(spec: SweepSpec, session_id: int):
     if not spec.payload_per_session:
@@ -300,147 +291,145 @@ def session_payload(spec: SweepSpec, session_id: int):
     return [random_state(1, payload_rng) for _ in range(spec.payload_per_session)]
 
 
-def _session_chunk(job) -> list[tuple[dict, tuple]]:
-    """(CSV row, pair trace) per session; the trace is empty unless collected.
-
-    A session that raises gives a row with only its ``error`` filled among
-    the outcome columns, and no trace, as a failed grid point does.
-    """
-    spec, session_ids, collect_trace = job
-    cfg = _session_cfg(spec)
-    threshold = resolve_threshold(cfg)
-    sessions = []
-    for sid in session_ids:
-        t0 = time.perf_counter()
-        row = {c: "" for c in SESSION_COLUMNS}
-        row.update(
-            sweep_kind="qsdc_batch", session_id=sid, n_pairs=spec.n_pairs,
-            m_virtual=spec.m_virtual, threshold=threshold, p_eq=spec.p_eq_list[0],
-            eve_mode=spec.eve.mode, seed=spec.seed,
-        )
-        try:
-            report = run_session(
-                cfg, session_id=sid, payload=session_payload(spec, sid),
-                collect_trace=collect_trace,
-            )
-        except Exception as exc:  # a session failure must not end the batch
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            trace = ()
-        else:
-            row.update(
-                decision=report.decision, virtual_qber=report.virtual_qber,
-                payload_qber=report.payload_qber, classical_ber=report.classical_ber,
-                attempts=report.attempts,
-            )
-            trace = report.pair_trace
-        row["wall_ms"] = _elapsed_ms(t0) if spec.timing else 0
-        sessions.append((row, trace))
-    return sessions
+def _session_chunk(job) -> QsdcReport:
+    """The report of one session, run under the sweep's one config."""
+    spec, cfg, session_id, collect_trace = job
+    return run_session(
+        cfg, session_id=session_id, payload=session_payload(spec, session_id),
+        collect_trace=collect_trace,
+    )
 
 
-def _qsdc_points(spec: SweepSpec, trace_path: str | None) -> list[dict]:
-    ids = range(spec.trials_per_point)
-    jobs = [
-        (spec, ids[i : i + SESSION_CHUNK], trace_path is not None)
-        for i in range(0, len(ids), SESSION_CHUNK)
-    ]
-    sessions = [s for chunk in _run_chunks(spec, _session_chunk, jobs) for s in chunk]
-    if trace_path is not None:
-        lines = ["# session attempt kind pair bit_a bit_b ok\n"]
-        lines += [
-            f"{row['session_id']} {' '.join(str(v) for v in pair)}\n"
-            for row, trace in sessions for pair in trace
-        ]
-        _write_text(trace_path, "".join(lines))
-    return [row for row, _ in sessions]
+def _session_row(trace: list[str] | None, row: dict, results: list) -> list[dict]:
+    """Fill a session's row from its report; append its measured pairs to ``trace``."""
+    (report,) = results
+    row.update(
+        decision=report.decision, virtual_qber=report.virtual_qber,
+        payload_qber=report.payload_qber, classical_ber=report.classical_ber,
+        attempts=report.attempts,
+    )
+    if trace is not None:
+        sid = row["session_id"]
+        trace.extend(f"{sid} {' '.join(str(v) for v in pair)}\n" for pair in report.pair_trace)
+    return [row]
 
 
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
-def _curve_row(
-    spec: SweepSpec,
-    kind: str,
-    variant: str,
-    snr_db,
-    p_eq,
-    ber: MetricAccumulator | None = None,
-    qber: MetricAccumulator | None = None,
-) -> dict:
-    row = {c: "" for c in SWEEP_COLUMNS}
-    row.update(
-        sweep_kind=kind, variant=variant, trials=spec.trials_per_point,
-        seed=spec.seed, wall_ms=0, error="",
-    )
-    if snr_db is not None:
-        row["snr_db"] = snr_db
-    if p_eq is not None:
-        row["p_eq"] = p_eq
-    if ber is not None:
-        lo, hi = ber.wilson_ci95
-        row.update(ber=ber.rate, ber_ci_lo=lo, ber_ci_hi=hi)
-    if qber is not None:
-        lo, hi = qber.wilson_ci95
-        row.update(qber=qber.rate, qber_ci_lo=lo, qber_ci_hi=hi)
+def _curve_row(row: dict, variant: str = "", ber=None, qber=None) -> dict:
+    """A copy of a point's key row with its variant and error rates."""
+    row = {**row, "variant": variant}
+    for name, acc in (("ber", ber), ("qber", qber)):
+        if acc is not None:
+            lo, hi = acc.wilson_ci95
+            row.update({name: acc.rate, f"{name}_ci_lo": lo, f"{name}_ci_hi": hi})
     return row
 
 
-def _error_row(spec: SweepSpec, snr_db, p_eq, exc: Exception) -> dict:
-    row = {c: "" for c in SWEEP_COLUMNS}
-    row.update(
-        sweep_kind=spec.sweep_kind,
-        snr_db="" if snr_db is None else snr_db,
-        p_eq="" if p_eq is None else p_eq,
-        trials=spec.trials_per_point, seed=spec.seed, wall_ms=0,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _key_row(spec: SweepSpec, snr_db, p_eq) -> dict:
+    """A curve point's key columns: its row as it stands if the point fails."""
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(sweep_kind=spec.sweep_kind, snr_db=snr_db, p_eq=p_eq,
+               trials=spec.trials_per_point, seed=spec.seed, wall_ms=0)
     return row
 
 
-def _elapsed_ms(t0: float) -> float:
-    """Wall-clock milliseconds since ``t0``, to the microsecond."""
-    return round(1000.0 * (time.perf_counter() - t0), 3)
+def _points(spec: SweepSpec, trace: list[str] | None) -> tuple[Callable, list[tuple]]:
+    """The chunk worker of the sweep kind, and every point in row order.
 
-
-def _grid_points(spec: SweepSpec) -> list[tuple]:
-    """(snr_db, p_eq, run) per curve grid point in row order; run() gives its rows."""
+    A point is a curve grid point or one session: ``(row, jobs, merge)``.
+    ``row`` holds its key columns, the row it falls back to with the error
+    filled in; ``jobs`` holds one job per chunk, in chunk order; and
+    ``merge(row, chunk results)`` gives its rows.
+    """
+    trials = spec.trials_per_point
+    points = []
     if spec.sweep_kind == "classical_ber":
-        return [(snr_db, None, partial(_classical_point, spec, snr_db, i_snr))
-                for i_snr, snr_db in enumerate(spec.snr_grid_db)]
+        n_blocks = max(1, math.ceil(trials / spec.turbo.block_length))
+        for i_snr, snr_db in enumerate(spec.snr_grid_db):
+            jobs = _chunk_jobs(trials, UNCODED_CHUNK_BITS, False, spec, snr_db, i_snr)
+            merge = partial(_classical_point, spec, len(jobs))
+            if spec.use_turbo:
+                jobs += _chunk_jobs(n_blocks, CODED_CHUNK_BLOCKS, True, spec, snr_db, i_snr)
+            points.append((_key_row(spec, snr_db, ""), jobs, merge))
+        return _ber_chunk, points
     if spec.sweep_kind == "shor_curve":
-        return [(None, p_axis, partial(_shor_point, spec, p_axis, i_p))
-                for i_p, p_axis in enumerate(spec.p_eq_list)]
-    return [  # qber_vs_snr, teleport_demo
-        (snr_db, p_eq, partial(_qber_point, spec, snr_db, p_eq, i_snr, i_p))
-        for i_snr, snr_db in enumerate(spec.snr_grid_db)
-        for i_p, p_eq in enumerate(spec.p_eq_list)
-    ]
+        for i_p, p_axis in enumerate(spec.p_eq_list):
+            jobs = _chunk_jobs(trials, SHOR_CHUNK_TRIALS, spec, p_axis, i_p)
+            points.append((_key_row(spec, "", p_axis), jobs, partial(_shor_point, spec, p_axis)))
+        return _shor_chunk, points
+    if spec.sweep_kind == "qsdc_batch":
+        cfg = QsdcConfig(
+            n_pairs=spec.n_pairs, m_virtual=spec.m_virtual, threshold=spec.threshold,
+            depol=DepolarizingParams.from_total(spec.p_eq_list[0]), eve=spec.eve,
+            turbo=spec.turbo, rician=spec.rician, snr_db=spec.snr_grid_db[0],
+            seed=spec.seed, use_shor=spec.use_shor, use_turbo=spec.use_turbo,
+            classical_bypass_ber=spec.classical_bypass_ber,
+        )
+        key_row = dict.fromkeys(SESSION_COLUMNS, "")
+        key_row.update(
+            sweep_kind="qsdc_batch", n_pairs=spec.n_pairs, m_virtual=spec.m_virtual,
+            threshold=resolve_threshold(cfg), p_eq=spec.p_eq_list[0],
+            eve_mode=spec.eve.mode, seed=spec.seed, wall_ms=0,
+        )
+        merge = partial(_session_row, trace)
+        for sid in range(trials):
+            job = (spec, cfg, sid, trace is not None)
+            points.append(({**key_row, "session_id": sid}, [job], merge))
+        return _session_chunk, points
+    for i_snr, snr_db in enumerate(spec.snr_grid_db):  # qber_vs_snr, teleport_demo
+        for i_p, p_eq in enumerate(spec.p_eq_list):
+            jobs = _chunk_jobs(trials, QBER_CHUNK_TRIALS, spec, snr_db, p_eq, i_snr, i_p)
+            points.append((_key_row(spec, snr_db, p_eq), jobs, _qber_point))
+    return _qber_chunk, points
 
 
 def run_sweep(spec: SweepSpec, trace_path: str | None = None) -> list[dict]:
-    """Run every grid point, optionally writing the CSV to spec.output_path.
+    """Run every point, optionally writing the CSV to spec.output_path.
 
-    With ``trace_path`` (qsdc_batch only), every measured pair of every
-    session is written there as one line, in session order.
+    All points' chunks run as one queue, ``SESSION_CHUNK`` sessions or one
+    curve chunk per task.  A point whose chunk raised, whose worker died or
+    whose merge raised gets its key row with the error instead.  With
+    ``trace_path`` (qsdc_batch only), every measured pair of every session
+    is written there as one line, in session order.
     """
     if trace_path is not None and spec.sweep_kind != "qsdc_batch":
         raise ValueError("a pair trace needs sweep kind qsdc_batch")
-    if spec.sweep_kind == "qsdc_batch":
-        rows = _qsdc_points(spec, trace_path)
-    else:
-        rows = []
-        for snr_db, p_eq, run in _grid_points(spec):
-            t0 = time.perf_counter()
+    trace = None if trace_path is None else ["# session attempt kind pair bit_a bit_b ok\n"]
+    worker, points = _points(spec, trace)
+    per_task = SESSION_CHUNK if spec.sweep_kind == "qsdc_batch" else 1
+    jobs = [job for _, point_jobs, _ in points for job in point_jobs]
+    tasks = [jobs[i : i + per_task] for i in range(0, len(jobs), per_task)]
+
+    def merge_points(read) -> list[dict]:
+        rows, first = [], 0
+        for row, point_jobs, merge in points:
+            # job j of the sweep is slot j % per_task of task j // per_task
+            slots = range(first, first + len(point_jobs))
+            first = slots.stop
+            seconds, results = 0.0, []
             try:
-                point_rows = run()
-            except Exception as exc:  # point failures must not kill the sweep
-                point_rows = [_error_row(spec, snr_db, p_eq, exc)]
+                for j in slots:
+                    result, run_s = read(j // per_task)[j % per_task]
+                    seconds += run_s
+                    if isinstance(result, Exception):
+                        raise result
+                    results.append(result)
+                point_rows = merge(row, results)
+            except Exception as exc:  # a failed point must not end the sweep
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                point_rows = [row]
             if spec.timing:
-                ms = _elapsed_ms(t0)
-                for row in point_rows:
-                    row["wall_ms"] = ms
+                for out in point_rows:
+                    out["wall_ms"] = round(1000.0 * seconds, 3)
             rows.extend(point_rows)
+        return rows
+
+    rows = _run_chunks(spec, worker, tasks, merge_points)
+    if trace is not None:
+        _write_text(trace_path, "".join(trace))
     if spec.output_path:
         _write_text(spec.output_path, render_csv(spec, rows))
     return rows

@@ -3,8 +3,11 @@ import csv
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
 import pathlib
 import shlex
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -271,6 +274,7 @@ _TELEPORT = {
     "classical_bypass_ber": st.sampled_from([None, 0.05]),
     "trials_per_point": st.integers(1000, 3000),
 }
+_N_PAIRS = st.shared(st.integers(0, 6), key="n_pairs")  # a payload fits in the pairs
 # Small specs of every kind, with the fields that kind reads.
 _SMALL_SPECS = {
     "classical_ber": {
@@ -288,8 +292,9 @@ _SMALL_SPECS = {
         "p_eq_list": _P_EQS.map(lambda p: p[:1]),
         "use_shor": st.booleans(), "trials_per_point": st.integers(1, 12),
         "eve": st.sampled_from(["none", "swap:0.3", "boost:0.1"]).map(parse_eve),
-        "n_pairs": st.integers(0, 6), "m_virtual": st.integers(20, 40),
-        "threshold": st.sampled_from([None, 0.5]), "payload_per_session": st.integers(0, 6),
+        "n_pairs": _N_PAIRS, "m_virtual": st.integers(20, 40),
+        "threshold": st.sampled_from([None, 0.5]),
+        "payload_per_session": _N_PAIRS.flatmap(lambda n: st.integers(0, n)),
     },
 }
 
@@ -314,6 +319,89 @@ def test_small_specs_are_bytes_identical_across_threads(kind, monkeypatch):
         assert texts[0] == texts[1]
 
     check()
+
+
+class _InProcessPool:
+    """ProcessPoolExecutor stand-in that runs each task when it is submitted or mapped."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers):
+        _InProcessPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+# Multi-point specs of every kind, and the pool tasks each makes under the
+# chunk sizes of the test below.
+_POOL_SPECS = [
+    (SweepSpec("classical_ber", snr_grid_db=(0.0, 3.0), trials_per_point=3000,
+               turbo=TurboConfig(block_length=64, iterations=1)), 12),
+    (SweepSpec("qber_vs_snr", p_eq_list=(0.0, 0.1), trials_per_point=2000,
+               use_turbo=False), 4),
+    (SweepSpec("teleport_demo", snr_grid_db=(2.0, math.inf), trials_per_point=1500,
+               turbo=TurboConfig(block_length=64, iterations=1)), 4),
+    (SweepSpec("shor_curve", p_eq_list=(0.01, 0.1), trials_per_point=3000), 4),
+    (SweepSpec("qsdc_batch", trials_per_point=5, n_pairs=4, m_virtual=20,
+               payload_per_session=2), 3),
+]
+
+
+@pytest.mark.parametrize("cpus", [3, 64])
+@pytest.mark.parametrize("spec,n_tasks", _POOL_SPECS, ids=[s.sweep_kind for s, _ in _POOL_SPECS])
+def test_one_pool_per_sweep_bounded_by_tasks_and_cpus(monkeypatch, spec, n_tasks, cpus):
+    for name, size in [("UNCODED_CHUNK_BITS", 1024), ("CODED_CHUNK_BLOCKS", 16),
+                       ("QBER_CHUNK_TRIALS", 1024), ("SHOR_CHUNK_TRIALS", 2048),
+                       ("SESSION_CHUNK", 2)]:
+        monkeypatch.setattr(sweeps_mod, name, size)
+    monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "max_workers", [])
+    serial = render_csv(spec, run_sweep(spec))
+    assert _InProcessPool.max_workers == []
+    wide = render_csv(spec, run_sweep(dataclasses.replace(spec, threads=10_000)))
+    assert _InProcessPool.max_workers == [min(n_tasks, cpus)]
+    assert wide == serial
+
+
+_TEST_PID = os.getpid()
+_PAULI_FRAME_BATCH = sweeps_mod.pauli_frame_batch
+
+
+def _worker_dies_at_p_eq_0p02(params, rng, n_trials):
+    """pauli_frame_batch whose pool worker exits at P_eq = 0.02."""
+    if params == DepolarizingParams.from_total(0.02):
+        if os.getpid() == _TEST_PID:
+            raise RuntimeError("the chunk ran in the test process, not on the pool")
+        os._exit(3)
+    return _PAULI_FRAME_BATCH(params, rng, n_trials)
+
+
+def test_a_dying_pool_worker_gives_error_rows(monkeypatch):
+    monkeypatch.setattr(sweeps_mod, "SHOR_CHUNK_TRIALS", 2048)  # three chunks per point
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = SweepSpec("shor_curve", p_eq_list=(0.01, 0.02, 0.03), trials_per_point=5000, seed=4)
+    serial = run_sweep(spec)
+    monkeypatch.setattr(sweeps_mod, "pauli_frame_batch", _worker_dies_at_p_eq_0p02)
+    rows = run_sweep(dataclasses.replace(spec, threads=2))
+    assert [row["p_eq"] for row in rows] == [0.01, 0.02, 0.03]
+    assert rows[1]["error"].startswith("BrokenProcessPool: ")
+    assert rows[1]["p_shor"] == ""
+    for row, done in zip(rows, serial):  # a point either lost its chunks or is whole
+        assert row == done or row["error"].startswith("BrokenProcessPool: ")
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +761,18 @@ def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text
 def test_cli_input_that_would_be_dropped_exits_1(capsys, argv):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["qsdc", "-n", "2", "--payload", "5"], "payload_per_session (5) exceeds n_pairs (2)"),
+    # every session aborts, so the impossible payload would never surface
+    (["qsdc", "-n", "2", "--payload", "5", "--eve", "swap:1.0"], "exceeds n_pairs (2)"),
+    (["qsdc", "-m", "0"], "at least one virtual pair"),  # from the session config
+])
+def test_qsdc_configuration_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    SweepSpec("qsdc_batch", n_pairs=2, payload_per_session=2)  # a payload may fill every pair
 
 
 @pytest.mark.parametrize("value", ["two", "0"])
