@@ -11,10 +11,14 @@ import sys
 from collections import defaultdict
 
 
-def _load(path: str):
+def _load(path: str) -> list[dict]:
+    """The rows of a sweep CSV, without its error rows."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    return [row for row in csv.DictReader(lines) if not row.get("error")]
+    reader = csv.DictReader(lines)
+    if "sweep_kind" not in (reader.fieldnames or ()):
+        raise ValueError(f"{path} is not a sweep CSV: it has no sweep_kind column")
+    return [row for row in reader if not row.get("error")]
 
 
 def _f(row, key):
@@ -22,7 +26,10 @@ def _f(row, key):
 
 
 def plot_file(path: str, ax) -> None:
-    rows = _load(path)
+    _plot_rows(_load(path), ax)
+
+
+def _plot_rows(rows: list[dict], ax) -> None:
     if not rows:
         return
     kind = rows[0]["sweep_kind"]
@@ -63,6 +70,14 @@ def main(argv=None) -> int:
         print("usage: python -m qtsim.plotting <sweep.csv> [...]", file=sys.stderr)
         return 1
     try:
+        tables = [_load(path) for path in paths]
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, csv.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
         import matplotlib.pyplot as plt
     except ImportError:
         print("matplotlib is required: pip install qtsim[plot]", file=sys.stderr)
@@ -70,8 +85,8 @@ def main(argv=None) -> int:
     fig, axes = plt.subplots(1, len(paths), figsize=(6 * len(paths), 4.5))
     if len(paths) == 1:
         axes = [axes]
-    for path, ax in zip(paths, axes):
-        plot_file(path, ax)
+    for rows, ax in zip(tables, axes):
+        _plot_rows(rows, ax)
     fig.tight_layout()
     out = "qtsim_curves.png"
     fig.savefig(out, dpi=150)

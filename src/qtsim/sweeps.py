@@ -3,10 +3,11 @@
 A sweep is a list of points (curve grid points, or sessions).  Each point
 has the row it falls back to on failure, its chunk jobs, and a merge from
 chunk results to rows; ``run_sweep`` runs all chunks as one queue, on at
-most one process pool.  Output is deterministic under a fixed seed and
-independent of the worker count: trials are cut into fixed-size chunks,
-each chunk re-derives its own rng stream from (seed, kind, point indices,
-chunk index), and each point merges its results in chunk order.
+most one process pool, and reads their outcomes in job order.  Output is
+deterministic under a fixed seed and independent of the worker count:
+trials are cut into fixed-size chunks, each chunk re-derives its rng stream
+from (seed, kind, point indices, chunk index), and each point merges its
+results in chunk order.
 ``wall_ms`` is 0 unless timing is enabled, so default CSV output is
 byte-stable; with timing it is the summed run time of the point's chunks.
 ``qber_vs_snr`` and ``teleport_demo`` trials teleport through
@@ -19,7 +20,7 @@ CSV schema (curve sweeps), one row per grid point:
 
 ``variant`` distinguishes the uncoded and turbo curves of the classical
 sweep; ``error`` carries a message for failed points, whose chunk raised
-or whose pool worker died (the sweep continues).  Session batches (kind
+or killed its pool worker (the sweep continues).  Session batches (kind
 ``qsdc_batch``) write one row per session, likewise with an error row for a
 failed session:
 
@@ -32,8 +33,11 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -176,32 +180,39 @@ def _rng_for(spec: SweepSpec, *key: int):
     )
 
 
-def _run_task(worker, jobs: list[tuple]) -> list[tuple]:
-    """(result or the exception raised, run seconds) of each job of one pool task."""
-    out = []
-    for job in jobs:
-        t0 = time.perf_counter()
-        try:
-            result = worker(job)
-        except Exception as exc:  # fails the job's point, not the task's other points
-            result = exc
-        out.append((result, time.perf_counter() - t0))
-    return out
+def _run_job(worker, job) -> tuple:
+    """The outcome of one chunk job: (result or the exception raised, run seconds)."""
+    t0 = time.perf_counter()
+    try:
+        result = worker(job)
+    except Exception as exc:  # fails the job's point, not the sweep
+        result = exc
+    return result, time.perf_counter() - t0
 
 
-def _run_chunks(spec: SweepSpec, worker, tasks: list[list[tuple]], consume):
-    """Run every task, and return ``consume(read)``.
-
-    ``read(t)`` gives task ``t``'s ``_run_task`` list, or raises what the pool
-    lost of it.  The tasks share at most one process pool, with no more
-    workers than tasks or CPUs; with one worker they run here, first.
-    """
-    workers = min(spec.threads, len(tasks), os.cpu_count() or 1) if spec.threads > 1 else 1
+def _run_chunks(spec: SweepSpec, worker, points: list[tuple]) -> list[tuple]:
+    """The ``_run_job`` outcome of every job of every point, in job order."""
+    run = partial(_run_job, worker)
+    per_task = SESSION_CHUNK if spec.sweep_kind == "qsdc_batch" else 1
+    jobs = [job for _, point_jobs, _ in points for job in point_jobs]
+    n_tasks = math.ceil(len(jobs) / per_task)
+    workers = min(spec.threads, n_tasks, os.cpu_count() or 1) if spec.threads > 1 else 1
     if workers <= 1:
-        return consume([_run_task(worker, task) for task in tasks].__getitem__)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_task, worker, task) for task in tasks]
-        return consume(lambda t: futures[t].result())
+        return list(map(run, jobs))
+    outcomes, broken, stop, pool = [], False, 0, None
+    with ExitStack() as pools:
+        for _, point_jobs, _ in points:
+            stop += len(point_jobs)
+            while len(outcomes) < stop:  # not run yet, or lost to a dead worker
+                pool = pool or pools.enter_context(ProcessPoolExecutor(max_workers=workers))
+                todo = jobs[len(outcomes):stop] if broken else jobs
+                try:
+                    outcomes.extend(pool.map(run, todo, chunksize=per_task))
+                except BrokenProcessPool as exc:
+                    if broken:  # run alone, the point broke the pool itself
+                        outcomes += [(exc, 0.0)] * (stop - len(outcomes))
+                    broken, pool = True, None
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -390,44 +401,33 @@ def run_sweep(spec: SweepSpec, trace_path: str | None = None) -> list[dict]:
     """Run every point, optionally writing the CSV to spec.output_path.
 
     All points' chunks run as one queue, ``SESSION_CHUNK`` sessions or one
-    curve chunk per task.  A point whose chunk raised, whose worker died or
-    whose merge raised gets its key row with the error instead.  With
-    ``trace_path`` (qsdc_batch only), every measured pair of every session
-    is written there as one line, in session order.
+    curve chunk per pool task, and come back in job order.  A point whose
+    chunk or merge raised gets its key row with the error instead.  A dead
+    pool worker costs a rerun of all unfinished chunks, one point at a time
+    on a fresh pool; only a point that kills a worker there too gets an
+    error row.  With ``trace_path`` (qsdc_batch only), every measured pair
+    of every session is written there as one line, in session order.
     """
     if trace_path is not None and spec.sweep_kind != "qsdc_batch":
         raise ValueError("a pair trace needs sweep kind qsdc_batch")
     trace = None if trace_path is None else ["# session attempt kind pair bit_a bit_b ok\n"]
     worker, points = _points(spec, trace)
-    per_task = SESSION_CHUNK if spec.sweep_kind == "qsdc_batch" else 1
-    jobs = [job for _, point_jobs, _ in points for job in point_jobs]
-    tasks = [jobs[i : i + per_task] for i in range(0, len(jobs), per_task)]
-
-    def merge_points(read) -> list[dict]:
-        rows, first = [], 0
-        for row, point_jobs, merge in points:
-            # job j of the sweep is slot j % per_task of task j // per_task
-            slots = range(first, first + len(point_jobs))
-            first = slots.stop
-            seconds, results = 0.0, []
-            try:
-                for j in slots:
-                    result, run_s = read(j // per_task)[j % per_task]
-                    seconds += run_s
-                    if isinstance(result, Exception):
-                        raise result
-                    results.append(result)
-                point_rows = merge(row, results)
-            except Exception as exc:  # a failed point must not end the sweep
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                point_rows = [row]
-            if spec.timing:
-                for out in point_rows:
-                    out["wall_ms"] = round(1000.0 * seconds, 3)
-            rows.extend(point_rows)
-        return rows
-
-    rows = _run_chunks(spec, worker, tasks, merge_points)
+    outcomes = iter(_run_chunks(spec, worker, points))
+    rows = []
+    for row, point_jobs, merge in points:
+        results, seconds = zip(*islice(outcomes, len(point_jobs)))
+        try:
+            for result in results:
+                if isinstance(result, Exception):
+                    raise result
+            point_rows = merge(row, list(results))
+        except Exception as exc:  # a failed point must not end the sweep
+            row["error"] = f"{type(exc).__name__}: {exc}"
+            point_rows = [row]
+        if spec.timing:
+            for out in point_rows:
+                out["wall_ms"] = round(1000.0 * sum(seconds), 3)
+        rows.extend(point_rows)
     if trace is not None:
         _write_text(trace_path, "".join(trace))
     if spec.output_path:

@@ -404,6 +404,38 @@ def test_a_dying_pool_worker_gives_error_rows(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+_RUN_SESSION = sweeps_mod.run_session
+
+
+def _worker_dies_in_session_4(cfg, session_id=0, **kwargs):
+    """run_session whose pool worker exits in session 4."""
+    if session_id == 4:
+        if os.getpid() == _TEST_PID:
+            raise RuntimeError("the session ran in the test process, not on the pool")
+        os._exit(3)
+    return _RUN_SESSION(cfg, session_id=session_id, **kwargs)
+
+
+@pytest.mark.parametrize("spec,chunk,dies,lost", [
+    (SweepSpec("shor_curve", p_eq_list=(0.01, 0.02, 0.03, 0.04), trials_per_point=5000, seed=4),
+     ("SHOR_CHUNK_TRIALS", 2048), ("pauli_frame_batch", _worker_dies_at_p_eq_0p02), 1),
+    (SweepSpec("qsdc_batch", trials_per_point=9, n_pairs=4, m_virtual=20,
+               payload_per_session=2, seed=5),
+     ("SESSION_CHUNK", 3), ("run_session", _worker_dies_in_session_4), 4),
+], ids=["shor_curve", "qsdc_batch"])
+def test_a_dead_worker_fails_only_its_point(monkeypatch, spec, chunk, dies, lost):
+    """The points that share the dead worker's pool run again on a fresh one."""
+    monkeypatch.setattr(sweeps_mod, *chunk)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run_sweep(spec)
+    monkeypatch.setattr(sweeps_mod, *dies)
+    rows = run_sweep(dataclasses.replace(spec, threads=2))
+    assert len(rows) == len(serial)
+    assert rows[lost]["error"].startswith("BrokenProcessPool: ")
+    assert rows[:lost] + rows[lost + 1:] == serial[:lost] + serial[lost + 1:]
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -514,6 +546,28 @@ def test_session_timing_fills_wall_ms(tmp_path):
         "--trace", str(tmp_path / "trace.txt"), "--out", str(out),
     ]) == 0
     assert all(float(row["wall_ms"]) > 0 for row in _parse(out.read_text()))
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec("classical_ber", snr_grid_db=(0.0, 3.0), trials_per_point=3000, seed=3,
+              turbo=TurboConfig(block_length=64, iterations=1)),
+    SweepSpec("qsdc_batch", trials_per_point=5, n_pairs=4, m_virtual=20,
+              payload_per_session=2, seed=3),
+], ids=["classical_ber", "qsdc_batch"])
+def test_timing_fills_wall_ms_through_the_pool(monkeypatch, spec):
+    for name, size in [("UNCODED_CHUNK_BITS", 1024), ("CODED_CHUNK_BLOCKS", 16),
+                       ("SESSION_CHUNK", 2)]:
+        monkeypatch.setattr(sweeps_mod, name, size)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = dataclasses.replace(spec, threads=2)
+    untimed = run_sweep(spec)
+    timed = run_sweep(dataclasses.replace(spec, timing=True))
+    assert all(row["wall_ms"] > 0 for row in timed)
+    assert [{**row, "wall_ms": 0} for row in timed] == untimed
+    if spec.sweep_kind == "classical_ber":  # a point's variant rows carry its summed time
+        assert [row["variant"] for row in timed] == ["uncoded", "turbo"] * 2
+        assert timed[0]["wall_ms"] == timed[1]["wall_ms"]
+        assert timed[2]["wall_ms"] == timed[3]["wall_ms"]
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
