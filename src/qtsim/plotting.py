@@ -2,7 +2,8 @@
 
 Thin, out-of-process viewer for the three standard figures: classical
 BER comparison, QBER-vs-SNR error floors, and the decoded-error curve.
-Needs matplotlib (``pip install qtsim[plot]``).
+A CSV of any other kind (a ``qsdc`` session CSV) exits 1 before anything is
+drawn.  Needs matplotlib (``pip install qtsim[plot]``).
 """
 from __future__ import annotations
 
@@ -10,15 +11,24 @@ import csv
 import sys
 from collections import defaultdict
 
+_DRAWABLE_KINDS = ("classical_ber", "qber_vs_snr", "teleport_demo", "shor_curve")
+
 
 def _load(path: str) -> list[dict]:
-    """The rows of a sweep CSV, without its error rows."""
+    """The rows of a sweep CSV of a drawable kind, without its error rows."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     if "sweep_kind" not in (reader.fieldnames or ()):
         raise ValueError(f"{path} is not a sweep CSV: it has no sweep_kind column")
-    return [row for row in reader if not row.get("error")]
+    rows = list(reader)
+    undrawable = sorted({row["sweep_kind"] for row in rows} - set(_DRAWABLE_KINDS))
+    if undrawable:
+        raise ValueError(
+            f"{path}: cannot plot sweep_kind {', '.join(undrawable)}; "
+            f"drawable kinds are {', '.join(_DRAWABLE_KINDS)}"
+        )
+    return [row for row in rows if not row.get("error")]
 
 
 def _f(row, key):

@@ -21,20 +21,22 @@ corrects the surviving data qubit from the measured syndrome:
     disagree (majority vote over triple phase parities).
 
 The same decision logic runs symbolically on Pauli patterns (no state
-vector), which is the fast Monte Carlo path and the exact-enumeration
-oracle.  A residual after decoding is a logical error:
+vector), which is the fast Monte Carlo path and the exact logical rate.  A
+residual after decoding is a logical error:
 
     logical X  <=>  majority over triples of (parity of Z-type flips),
     logical Z  <=>  XOR over triples of majority(X-type flips in triple).
 
-Batched flips (sessions, sweeps, the exact enumeration) are decoded by two
-512-entry tables built from these rules, indexed by the nine flags of a
-block packed into one word.
+Batched flips (sessions, sweeps) are decoded by two 512-entry tables built
+from these rules, indexed by the nine flags of a block packed into one word.
+The exact rate sums the probabilities of the failing patterns, read once
+from the same tables and cached; the sum is bit-identical to enumerating
+and decoding all 4^9 patterns, which the tests keep as its oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -222,8 +224,8 @@ def _decode_tables() -> tuple[np.ndarray, np.ndarray]:
     return phase_parity >= 2, triple_majority % 2 == 1
 
 
-# int16 words keep the cast of an (n, 9) flag array small: the exact
-# enumeration decodes 4^9 blocks at once, at 18 bytes per block, not 72
+# int16 words keep the cast of an (n, 9) flag array small: pauli_frame_batch
+# decodes 10^6 blocks at once, at 18 bytes per block, not 72
 _FLAG_WEIGHTS = (1 << np.arange(9)).astype(np.int16)
 _X_OF_Z_WORD, _Z_OF_X_WORD = _decode_tables()  # built at import in about 0.1 ms
 
@@ -265,27 +267,41 @@ def pauli_frame_batch(params: DepolarizingParams, rng, n_trials: int) -> int:
     return total
 
 
-@lru_cache(maxsize=64)
-def _exact_logical_rate_cached(p_eq: float) -> float:
-    p = p_eq / 3.0
-    idx = np.arange(4**9)
-    digits = ((idx[:, None] >> (2 * np.arange(9))) & 3).astype(np.int8)  # 0=I 1=X 2=Z 3=Y
-    xs = (digits == 1) | (digits == 3)
-    zs = (digits == 2) | (digits == 3)
-    n_identity = np.count_nonzero(digits == 0, axis=1)
-    prob = np.power(p, 9 - n_identity) * np.power(1.0 - p_eq, n_identity)
-    lx, lz = _logical_flags(xs, zs)
-    return float(prob[lx | lz].sum())
+@cache
+def _failing_identity_counts() -> np.ndarray:
+    """Identity count of each failing nine-position Pauli pattern, in index order.
+
+    Pattern i puts Pauli (i >> 2k) & 3 (0=I 1=X 2=Z 3=Y) on position k, so
+    the pattern of x/z flag words (x, z) has index s(x) + 2 s(z), with
+    s(w) = sum_k w_k 4^k.  It fails when the decode tables give a logical X
+    or Z.  Built on first use, from uint16 words, int8 counts and bool masks.
+    """
+    words = np.arange(512, dtype=np.uint16)
+    flags = ((words[:, None] >> np.arange(9, dtype=np.uint16)) & 1).astype(np.int32)
+    spread = flags @ (4 ** np.arange(9, dtype=np.int32))
+    popcount = flags.sum(axis=1).astype(np.int8)
+    index = spread[None, :] + 2 * spread[:, None]  # [z word, x word]
+    failing = np.empty(4**9, dtype=bool)
+    failing[index] = _X_OF_Z_WORD[:, None] | _Z_OF_X_WORD[None, :]
+    identity = np.empty(4**9, dtype=np.int8)
+    identity[index] = 9 - popcount[words[:, None] | words[None, :]]
+    counts = identity[failing]
+    counts.flags.writeable = False  # the cache hands this one array to every call
+    return counts
 
 
 def exact_logical_rate(params: DepolarizingParams) -> float:
-    """Exact logical error probability by enumerating all 4^9 Pauli patterns.
+    """Exact logical error probability over all 4^9 Pauli patterns.
 
     Each pattern is weighted by p_e per non-identity position and 1 - P_eq
-    per identity, and classified with the symbolic decoder.  This is the
-    brute-force oracle behind the decoded-error-curve checks.
+    per identity.  The sum runs over the cached failing patterns in pattern
+    order, so it is bit-identical to enumerating and classifying all 4^9
+    patterns, which the tests keep as the oracle.
     """
-    return _exact_logical_rate_cached(params.p_eq)
+    p_eq = params.p_eq
+    n_identity = np.arange(10)
+    prob = np.power(p_eq / 3.0, 9 - n_identity) * np.power(1.0 - p_eq, n_identity)
+    return float(prob[_failing_identity_counts()].sum())
 
 
 def axis_params(p_axis: float, convention: str = "total") -> DepolarizingParams:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import qtsim.sweeps as sweeps_mod
+from qtsim.cli import main as cli_main
 from qtsim.plotting import main, plot_file
 from qtsim.sweeps import SweepSpec, run_sweep
 from qtsim.turbo import TurboConfig
@@ -79,3 +80,15 @@ def test_main_reads_every_csv_before_matplotlib(monkeypatch, tmp_path, capsys):
     assert main([str(good), str(plain)]) == 1
     err = capsys.readouterr().err
     assert "no sweep_kind column" in err and "Traceback" not in err
+
+
+def test_main_refuses_a_session_csv(monkeypatch, tmp_path, capsys):
+    for name in ("matplotlib", "matplotlib.pyplot"):
+        monkeypatch.setitem(sys.modules, name, None)
+    sessions = tmp_path / "sessions.csv"
+    assert cli_main(["qsdc", "--sessions", "2", "--out", str(sessions)]) == 0
+    capsys.readouterr()
+    assert main([str(sessions)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot plot sweep_kind qsdc_batch" in err and "shor_curve" in err
+    assert "matplotlib" not in err and "Traceback" not in err

@@ -291,3 +291,33 @@ def test_decode_table_matches_oracle_on_random_mixed_patterns():
 def test_exact_logical_rate_is_pinned(p_eq, rate):
     # the rates of the per-triple decoder logic: the table must select the same patterns
     assert exact_logical_rate(DepolarizingParams.from_total(p_eq)) == rate
+
+
+def _enumerated_rate(p_eq: float) -> float:
+    p = p_eq / 3.0
+    idx = np.arange(4**9)
+    digits = ((idx[:, None] >> (2 * np.arange(9))) & 3).astype(np.int8)  # 0=I 1=X 2=Z 3=Y
+    xs = (digits == 1) | (digits == 3)
+    zs = (digits == 2) | (digits == 3)
+    n_identity = np.count_nonzero(digits == 0, axis=1)
+    prob = np.power(p, 9 - n_identity) * np.power(1.0 - p_eq, n_identity)
+    lx, lz = _logical_flags(xs, zs)
+    return float(prob[lx | lz].sum())
+
+
+_ORACLE_GRID = [
+    DepolarizingParams.from_total(p)
+    for p in (0.0, 1.0, 1e-12, 0.005, 0.105, 0.3, *np.linspace(0.0, 0.3, 50).tolist())
+] + [
+    DepolarizingParams.from_per_pauli(p)  # P_eq = 3x the shor-curve axis defaults
+    for p in (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.105, 0.15, 0.2)
+] + [
+    DepolarizingParams.from_total(p) for p in np.random.default_rng(41).uniform(0, 1, 200)
+]
+
+
+def test_exact_logical_rate_equals_the_enumeration_bit_for_bit():
+    # the failing-pattern table must gather the enumeration's failing
+    # probabilities in the same order, so that the pairwise sum is the same
+    for params in _ORACLE_GRID:
+        assert exact_logical_rate(params) == _enumerated_rate(params.p_eq), params.p_eq

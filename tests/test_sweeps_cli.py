@@ -516,6 +516,19 @@ def test_attack_sessions_match_golden_csv(tmp_path, capsys, golden, flags, threa
     assert out.read_bytes() == (pathlib.Path(__file__).parent / "data" / golden).read_bytes()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shor_curve_matches_golden_csv(tmp_path, threads):
+    # the default axis grid pins both the Monte Carlo and the p_shor_exact column
+    out = tmp_path / "shor.csv"
+    args = parse_command(build_parser(), [
+        "shor-curve", "--trials", "20000", "--seed", "3", "--threads", str(threads),
+        "--out", str(out),
+    ])
+    run_sweep(_sweep_spec(args))
+    golden = pathlib.Path(__file__).parent / "data" / "shor_curve_golden.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_readme_cli_commands_parse():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
