@@ -92,7 +92,11 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    """A comma (or semicolon) list of floats; an empty element is an error."""
+    tokens = text.replace(";", ",").split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"empty element in list {text!r}")
+    return tuple(float(tok) for tok in tokens)
 
 
 def _positive_int(text: str) -> int:

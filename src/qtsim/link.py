@@ -52,9 +52,10 @@ def send_bits(
     padded = np.zeros(n_blocks * k, dtype=np.int8)
     padded[: bits.size] = bits
     coded = turbo_encode_batch(padded.reshape(n_blocks, k), turbo_cfg).reshape(-1)
-    # The received frame is dropped before decoding, which needs the memory.
-    llrs = qpsk_demodulate_soft(
+    # No name here holds the received frame or its LLRs, so the decoder's
+    # working set does not sit beside them: turbo_decode_batch frees the
+    # LLRs once it has copied the streams it reads.
+    decoded = turbo_decode_batch(qpsk_demodulate_soft(
         transmit(qpsk_modulate(coded, snr_db), rician, rng, coherence)
-    ).llrs.reshape(n_blocks, coded_block_bits(turbo_cfg))
-    decoded = turbo_decode_batch(llrs, turbo_cfg).reshape(-1)
+    ).llrs.reshape(n_blocks, coded_block_bits(turbo_cfg)), turbo_cfg).reshape(-1)
     return decoded[: bits.size].astype(np.int8)

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -190,6 +189,23 @@ def _run_job(worker, job) -> tuple:
     return result, time.perf_counter() - t0
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor`` and ``BrokenProcessPool``, imported on first use.
+
+    A serial sweep never starts a pool, so ``import qtsim`` leaves
+    ``concurrent.futures.process`` unloaded.  A name already set (by a test's
+    patch, say) is never replaced.
+    """
+    if name not in ("ProcessPoolExecutor", "BrokenProcessPool"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    globals().setdefault("ProcessPoolExecutor", ProcessPoolExecutor)
+    globals().setdefault("BrokenProcessPool", BrokenProcessPool)
+    return globals()[name]
+
+
 def _run_chunks(spec: SweepSpec, worker, points: list[tuple]) -> list[tuple]:
     """The ``_run_job`` outcome of every job of every point, in job order."""
     run = partial(_run_job, worker)
@@ -199,6 +215,8 @@ def _run_chunks(spec: SweepSpec, worker, points: list[tuple]) -> list[tuple]:
     workers = min(spec.threads, n_tasks, os.cpu_count() or 1) if spec.threads > 1 else 1
     if workers <= 1:
         return list(map(run, jobs))
+    module = sys.modules[__name__]  # through __getattr__, which imports the pool
+    ProcessPoolExecutor, BrokenProcessPool = module.ProcessPoolExecutor, module.BrokenProcessPool
     outcomes, broken, stop, pool = [], False, 0, None
     with ExitStack() as pools:
         for _, point_jobs, _ in points:

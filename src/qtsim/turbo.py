@@ -60,6 +60,20 @@ every pass exact:
 - The window count changes the rounding, so it is fixed once per decode,
   from the whole batch: a B = 128 decode that shrinks to 3 blocks keeps W = 1.
 
+Working set.  One batch decode makes all its passes in one set of work
+arrays (``_LogMapBuffers``).  A one-window pass keeps the branch table, into
+which the input factors are written directly, the parity factors, the
+extrinsic LLRs and the first T/2 + 1 rows of the recursion; the later rows
+are made ``SLAB`` = 16 steps at a time and used at once, as in Schurgers,
+Catthoor & Engels, "Memory optimization of MAP turbo decoder algorithms"
+(IEEE T-VLSI 9(2), 2001).  That is about 131 KiB per block at K = 1024, half
+of it the kept rows: 16.3 MiB for a 128-block sweep chunk.  A windowed pass
+keeps all T rows, the S unit vectors of every window and one posterior slab
+of all T steps: 2.1 MiB for one block.  ``turbo_decode_batch`` frees each
+of its arrays once it is spent, and the channel LLRs once it has copied the
+streams it reads, unless the caller keeps them (``link.send_bits`` does
+not), so that no spent array sits beside the work arrays.
+
 Both encoder and decoder are batched over blocks (the batch is the last,
 contiguous axis of the decoder's state metrics); ``turbo_encode`` and
 ``turbo_decode`` are the single-block wrappers.
@@ -367,7 +381,10 @@ def _bcjr(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool, max_lo
 # a posterior sum by at most S exp(-WINDOW_FLOOR) of the pair's total, below
 # rounding for any sum above exp(-260) of it: extrinsic LLRs up to about 260.
 LOG_MAP_CLIP = 25.0
-SLAB = 64  # trellis steps per branch-factor gather and per posterior pass
+# Trellis steps per call of a one-window pass: the recursion past the kept
+# rows and the posterior run SLAB steps at a time.  At B = 128, 16 steps
+# take the same time as 64 with a quarter of the slab arrays.
+SLAB = 16
 # Measured at T = 1027, S = 8 on a 2-vCPU host (medians of 9 passes), one
 # window against 32: B = 1 9.4 / 2.5 ms, B = 4 10.2 / 7.0 ms, B = 8
 # 10.4 / 12.7 ms.  Phase 1's arithmetic grows as S**2 T B, so windows run
@@ -402,6 +419,14 @@ class _LogMapBuffers:
     pass in its own shape.  The arrays serve passes of up to
     ``max_windows`` windows (by default the most the window rule gives
     these blocks); with more than one, every row is kept.
+
+    Per block, in doubles, over T steps and S states: the branch table 4 T,
+    the parity factors 2 T and the extrinsic LLRs T.  With one window, the
+    kept rows 2 S (T/2 + 1) and about 10 S ``SLAB`` in the slab arrays: at
+    T = 1027 and S = 8, 133,928 bytes a block, half of them the kept rows,
+    and 16.3 MiB for B = 128.  With more, all 2 S T rows, a posterior slab
+    of (4 S + 2) T, and 2 (S + 2)**2 per row of the windows' span T + 2 W:
+    2.1 MiB for B = 1 and W = 32.
     """
 
     def __init__(self, batch: int, max_steps: int, n_states: int,
@@ -410,11 +435,11 @@ class _LogMapBuffers:
             max_windows = _window_count(batch, max_steps, n_states)
         self.max_windows = max_windows
         n_low = max_steps // 2 + 1 if max_windows == 1 else max_steps
-        # SLAB posterior steps per window: W windows of B blocks take as
-        # many calls as one window of W * B blocks.
-        slab = min(SLAB * max_windows, max_steps)
+        # One window: SLAB posterior steps per call.  More: one call over all
+        # steps, since W windows of B blocks take as many calls as one window
+        # of W * B blocks.
+        slab = SLAB if max_windows == 1 else max_steps
         self._shapes = {
-            "input_factor": (max_steps, 2),
             "parity_factor": (max_steps, 2),
             "branch": (max_steps, 2, 2),
             "low": (n_low, 2, n_states),
@@ -590,14 +615,17 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
     if windows > work.max_windows:
         raise ValueError(f"{windows} windows exceed the work arrays' {work.max_windows}")
     work.set_batch(batch)
-    input_factor = work.input_factor[:steps]
     parity_factor = work.parity_factor[:steps]
     extrinsic = work.extrinsic[:steps]  # holds L_sys + L_a until the posterior
-    _bit_factors(np.add(l_sys, l_apriori, out=extrinsic.T), input_factor)
+    # branch[t, x, p] = input factor of x * parity factor of p; the input
+    # factors are made in the p = 1 column and multiplied out in place.
+    branch = work.branch[:steps]
+    _bit_factors(np.add(l_sys, l_apriori, out=extrinsic.T), branch[:, :, 1])
     _bit_factors(l_par, parity_factor)
+    np.multiply(branch[:, :, 1], parity_factor[:, None, 0], out=branch[:, :, 0])
+    branch[:, :, 1] *= parity_factor[:, None, 1]
     # (T * 4, B) rows 4t + 2*input + parity; the largest of each step is 1.
-    branch = np.multiply(input_factor[:, :, None], parity_factor[:, None],
-                         out=work.branch[:steps]).reshape(steps * 4, batch)
+    branch = branch.reshape(steps * 4, batch)
 
     # Row k holds alpha_k and beta_{T-k}; step t's posterior reads alpha from
     # row t and beta_{t+1} from row T-1-t.  In one window rows 0..T//2 are
@@ -667,7 +695,8 @@ def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
     ids = np.arange(batch)
     sys1 = np.concatenate([l_sys, l_tail_sys], axis=1)
     par1 = np.concatenate([l_par1, l_tail_par1], axis=1)
-    sys2, par2 = l_sys[:, perm], l_par2
+    sys2, par2 = l_sys[:, perm], l_par2.copy()
+    del llrs, l_sys, l_par1, l_par2, l_tail_sys, l_tail_par1  # a passed-on frame is freed
     # Decoder 1's a-priori LLRs of iterations i - 1 and i; iteration 1's are zero.
     before = apriori1 = np.zeros((batch, k + trellis.memory))
     hard = np.zeros((batch, k), dtype=bool)  # never chosen: no 2-cycle ends at iteration 1
@@ -685,7 +714,8 @@ def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
         if i == last:
             break
         after = np.zeros_like(apriori1)
-        np.take(_extrinsic_part(post2, sys2, apriori2), inv, axis=1, out=after[:, :k], mode="clip")
+        after[:, perm] = _extrinsic_part(post2, sys2, apriori2)  # deinterleaved, no temporary
+        del post2, apriori2  # freed before decoder 1 runs
 
         # Compared bitwise: the passes of iteration i + 1 then repeat those
         # of iteration i (a fixed point) or of iteration i - 1 (a 2-cycle).

@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import pathlib
 import shlex
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -374,6 +376,19 @@ def test_one_pool_per_sweep_bounded_by_tasks_and_cpus(monkeypatch, spec, n_tasks
     wide = render_csv(spec, run_sweep(dataclasses.replace(spec, threads=10_000)))
     assert _InProcessPool.max_workers == [min(n_tasks, cpus)]
     assert wide == serial
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # sweeps imports ProcessPoolExecutor when a sweep starts a pool, not before
+    src = pathlib.Path(sweeps_mod.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qtsim; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert loaded.strip() == "False"
 
 
 _TEST_PID = os.getpid()
@@ -828,6 +843,24 @@ def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text
 def test_cli_input_that_would_be_dropped_exits_1(capsys, argv):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--snr-grid=1,,2", "--snr-grid=1,2,", "--snr-grid=0;;4",
+                                  "--p-eq=0.1,,0.2", "--p-eq="])
+def test_cli_empty_list_element_exits_1(capsys, flag):
+    # an empty element is named, never dropped from the grid
+    argv = ["sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--no-turbo", flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"empty element in list {flag.split('=', 1)[1]!r}" in err
+
+
+@pytest.mark.parametrize("key,value", [("snr_grid_db", "1,,2"), ("p_eq_list", "0.1,,0.2")])
+def test_cli_config_empty_list_element_exits_1(tmp_path, capsys, key, value):
+    cfg = _config(tmp_path, f"kind=qber_vs_snr\ntrials=1000\nno_turbo=true\n{key}={value}\n")
+    assert main(["sweep", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"empty element in list {value!r}" in err and cfg in err
 
 
 @pytest.mark.parametrize("argv,message", [

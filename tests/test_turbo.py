@@ -337,6 +337,48 @@ def test_log_map_buffers_reused_across_passes():
         )
 
 
+@pytest.mark.parametrize("batch", [128, 3])  # one window; windowed (_window_count 32)
+@pytest.mark.parametrize("terminated", [True, False])
+def test_log_map_does_not_depend_on_the_slab(monkeypatch, batch, terminated):
+    # SLAB only cuts the one-window recursion and the posterior into calls:
+    # every step's arithmetic, and so every bit, is the same at any slab
+    rng = np.random.default_rng(77)
+    trellis = RscTrellis()
+    steps = 1027 if terminated else 1024
+    l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, batch, steps))
+    outputs = []
+    for slab in (5, 16, 64):
+        monkeypatch.setattr(turbo_mod, "SLAB", slab)
+        outputs.append(_log_map(l_sys, l_par, l_apriori, trellis, terminated))
+    for out in outputs[1:]:
+        np.testing.assert_array_equal(out, outputs[0])
+
+
+@pytest.mark.parametrize("batch", [128, 3])
+def test_batch_decode_does_not_depend_on_the_slab(monkeypatch, batch):
+    llrs = _rician_corpus(-1.0)[1][:batch]  # waterfall: all 8 iterations run
+    traces = []
+    for slab in (5, 16, 64):
+        monkeypatch.setattr(turbo_mod, "SLAB", slab)
+        traces.append(turbo_decode_batch(llrs, TurboConfig(), iteration_trace=True))
+    for trace in traces[1:]:
+        np.testing.assert_array_equal(trace, traces[0])
+
+
+def _work_bytes(work):
+    """Bytes of the arrays a ``_LogMapBuffers`` owns (its views own none)."""
+    arrays = [*vars(work).values(), *work._storage.values()]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
+
+
+def test_log_map_working_set_budget():
+    # the work arrays of a 128-block coded sweep chunk at K = 1024 (one
+    # window), and of one block (windowed), which must not outgrow the
+    # 2,238,664 bytes they took with 64-step slabs
+    assert _work_bytes(_LogMapBuffers(128, 1027, 8)) <= 17 * 2**20
+    assert _work_bytes(_LogMapBuffers(1, 1027, 8)) <= 2_238_664
+
+
 def test_single_block_decode_matches_batch():
     cfg = TurboConfig()
     infos, llrs = _rician_corpus(-1.0)
