@@ -3,8 +3,9 @@
 Covers the exact/trivial contracts of every layer: Bell-state amplitudes,
 gate involutions, noiseless teleportation, the channel sampling rule order,
 exhaustive weight-<=1 Shor correction (state vector and Pauli frame), turbo
-round trips, QPSK mapping, and sweep determinism.  Statistical acceptance
-checks live in the test suite.
+round trips, the windowed log-MAP pass against the sequential one, QPSK
+mapping, and sweep determinism.  Statistical acceptance checks live in the
+test suite.
 """
 from __future__ import annotations
 
@@ -30,7 +31,15 @@ from .qstate import (
 from .shor import PauliPattern, apply_pattern, classify_pattern, shor_decode, shor_encode
 from .sweeps import SweepSpec, render_csv, run_sweep
 from .teleport import DEFAULT_TEST_STATE, teleport_once
-from .turbo import TurboConfig, turbo_decode, turbo_encode
+from .turbo import (
+    RscTrellis,
+    TurboConfig,
+    _log_map,
+    _window_count,
+    split_llrs,
+    turbo_decode,
+    turbo_encode,
+)
 
 
 class _ScriptedRng:
@@ -135,6 +144,22 @@ def _checks():
         llrs = 20.0 * (1.0 - 2.0 * bits.astype(float))
         return bool(np.array_equal(turbo_decode(llrs, cfg), info))
 
+    def windowed_log_map():
+        # one noisy block: the window-parallel pass against the sequential one
+        cfg = TurboConfig(block_length=256)
+        bits = turbo_encode(rng.integers(0, 2, size=256, dtype=np.int8), cfg).to_bits()
+        llrs = 2.0 * (1.0 - 2.0 * bits) + rng.normal(0.0, 2.0, size=bits.size)
+        l_sys, l_par, _, tail_sys, tail_par = split_llrs(llrs, cfg)
+        l_sys = np.concatenate([l_sys, tail_sys], axis=1)
+        l_par = np.concatenate([l_par, tail_par], axis=1)
+        trellis = RscTrellis(*cfg.generators)
+        apriori = np.zeros_like(l_sys)
+        one = _log_map(l_sys, l_par, apriori, trellis, True, windows=1)
+        windowed = _log_map(l_sys, l_par, apriori, trellis, True)
+        return _window_count(1, l_sys.shape[1], trellis.n_states) > 1 and bool(
+            np.allclose(windowed, one, rtol=1e-12, atol=1e-13)
+        )
+
     def qpsk_roundtrip():
         bits = rng.integers(0, 2, size=64, dtype=np.int8)
         frame = qpsk_modulate(bits, math.inf)
@@ -176,6 +201,7 @@ def _checks():
         ("Pauli-frame transit matches the state-vector Shor round trip",
          frame_transit_weight_one),
         ("turbo decode inverts encode on clean LLRs", turbo_roundtrip),
+        ("windowed log-MAP pass matches the sequential one", windowed_log_map),
         ("QPSK demod inverts modulation on a clean link", qpsk_roundtrip),
         ("eavesdropper boost adds 0.10 to the channel", boost_params),
         ("threshold sits between the two operating rates", threshold_construction),

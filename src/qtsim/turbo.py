@@ -24,16 +24,22 @@ constituent decoders.  LLR convention throughout: positive favors bit 0.
   LLRs agree with the log-domain recursion wherever they lie below the clip,
   and its decisions matched it on every test corpus.
 - A pass of few blocks (``_window_count``: B <= 4 for the 8-state code)
-  runs its T steps as W ~ sqrt(T) windows side by side on the batch axis, as
-  in the parallel-scan form of Sarkka & Garcia-Fernandez (arXiv:1905.13002):
-  phase 1 pushes the S unit vectors through every window, each column
-  scaled on its own with its log scale kept; the W - 1 window boundaries
-  are chained in order in the log domain, each coefficient floored at
-  exp(-``WINDOW_FLOOR``) of the largest; phase 2 runs every window again
-  from its boundary.  A step costs numpy call overhead, not arithmetic, at
-  small B, so 2 sqrt(T) steps of W B columns beat T/2 steps of B columns.
-  Its LLRs equal the one-window recursion's to rounding (rtol 1e-12 in the
-  tests); with one window the recursion is the sequential one.
+  runs its T steps as W ~ sqrt(T) windows of 2h steps side by side on the
+  batch axis, as in the parallel-scan form of Sarkka & Garcia-Fernandez
+  (arXiv:1905.13002).  Phase 1 pushes the S unit vectors forward through
+  the first half of every window and backward through the second, each
+  column scaled on its own with its log scale kept.  The backward transfer
+  over a range of steps is the transpose of the forward one (Bahl et al.),
+  so a window's two half transfers multiply to its forward transfer, whose
+  transpose is its backward one.  The W - 1 window boundaries are chained
+  in order in the log domain, each coefficient floored at
+  exp(-``WINDOW_FLOOR``) of the largest, the midpoints follow from the half
+  transfers, and phase 2 runs the 2W half-windows again from these rows.
+  A step costs numpy call overhead, not arithmetic, at small B, so two
+  phases of h ~ sqrt(T)/2 steps of W B (then 2 W B) columns beat T/2 steps
+  of B columns.  Its LLRs equal the one-window recursion's to rounding
+  (rtol 1e-12 in the tests); with one window the recursion is the
+  sequential one.
 - Max-log (``_bcjr`` with ``max_log``) stays in the log domain.  The same
   function with ``max_log=False`` is the log-domain log-MAP oracle of the
   tests.
@@ -68,11 +74,12 @@ are made ``SLAB`` = 16 steps at a time and used at once, as in Schurgers,
 Catthoor & Engels, "Memory optimization of MAP turbo decoder algorithms"
 (IEEE T-VLSI 9(2), 2001).  That is about 131 KiB per block at K = 1024, half
 of it the kept rows: 16.3 MiB for a 128-block sweep chunk.  A windowed pass
-keeps all T rows, the S unit vectors of every window and one posterior slab
-of all T steps: 2.1 MiB for one block.  ``turbo_decode_batch`` frees each
-of its arrays once it is spent, and the channel LLRs once it has copied the
-streams it reads, unless the caller keeps them (``link.send_bits`` does
-not), so that no spent array sits beside the work arrays.
+keeps all T rows, the S unit vectors of every window over half of it, and
+one posterior slab of all T steps: 1.6 MiB for one block.
+``turbo_decode_batch`` frees each of its arrays once it is spent, and the
+channel LLRs once it has copied the streams it reads, unless the caller
+keeps them (``link.send_bits`` does not), so that no spent array sits
+beside the work arrays.
 
 Both encoder and decoder are batched over blocks (the batch is the last,
 contiguous axis of the decoder's state metrics); ``turbo_encode`` and
@@ -177,6 +184,9 @@ class RscTrellis:
         )
         backward = forward[:, :, self.bit_reversed[:half] // 2].transpose(1, 0, 2)
         self.butterfly = np.stack([forward, backward]).astype(np.intp)
+        # units[d, :, n]: state n as a vector over the states of direction d
+        eye = np.eye(self.n_states)
+        self.units = np.stack([eye, eye[self.bit_reversed]])
 
         # The encoder takes eight inputs per step: for 256 * state + byte
         # (first input in the top bit), the state reached, times 256, and the
@@ -220,14 +230,14 @@ class RscTrellis:
         for byte in np.packbits(padded, axis=1).T.astype(np.intp):
             index.append(state + byte)
             state = self.byte_next[index[-1]]
-        index = np.array(index).reshape(-1, flat.shape[0]).T
+        index = np.array(index, dtype=np.intp).reshape(len(index), flat.shape[0]).T
         parity = np.unpackbits(self.byte_parity[index], axis=1)[:, pad:].astype(np.int8)
         n_tail = self.memory if terminate else 0
         shape = bits.shape[:-1]
         return (
-            parity.reshape(*shape, -1),
-            self.tail_input[state // 256, :n_tail].reshape(*shape, -1),
-            self.tail_parity[state // 256, :n_tail].reshape(*shape, -1),
+            parity.reshape(*shape, flat.shape[1]),
+            self.tail_input[state // 256, :n_tail].reshape(*shape, n_tail),
+            self.tail_parity[state // 256, :n_tail].reshape(*shape, n_tail),
         )
 
 
@@ -370,25 +380,38 @@ def _bcjr(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool, max_lo
 #
 # The windowed recursion keeps these bounds.  Phase 1 scales each unit-vector
 # column to sum 1 at every step on its own, so its entries obey the same
-# bound, and each step sum lies in [exp(-4 C), 2]: a window's log scale is a
-# finite sum of finite logs.  The combine multiplies transfer entries by
-# coefficients floored at exp(-WINDOW_FLOOR) of the largest, so its smallest
-# product is exp(-WINDOW_FLOOR - 12 C) / 64, about exp(-604): normal (for
-# the memory-4 codes of the tests, exp(-706)).  A boundary row is then the
-# exact scaled metric plus at most exp(-WINDOW_FLOOR) of its mass, so it
-# obeys the row bound above, and it is positive, so the next log is finite;
-# the zeros of row 0 enter as log(tiny), never as log(0).  The addition moves
-# a posterior sum by at most S exp(-WINDOW_FLOOR) of the pair's total, below
-# rounding for any sum above exp(-260) of it: extrinsic LLRs up to about 260.
+# bound, and each step sum lies in [exp(-4 C), 2]: a half-window's log scale
+# is a finite sum of finite logs (kept relative to its first column's, which
+# cancels, so that the sums stay small and round finely).  A window's
+# forward transfer is R_B^T R_A up to these scales, R_A and R_B its two half
+# transfers; as R_A's columns sum to 1, each entry of the product is at
+# least the smallest entry of R_B, exp(-12 C) / 64 once a half spans the
+# memory (the default window count gives h >= 4).  The combine multiplies
+# these entries by coefficients floored at exp(-WINDOW_FLOOR) of the
+# largest, so its smallest product is exp(-WINDOW_FLOOR - 12 C) / 64, about
+# exp(-604): normal (for the memory-4 codes of the tests, exp(-16 C) / 256
+# gives about exp(-706), against the smallest normal double near exp(-708);
+# there a term of R_B^T R_A itself can fall below it only for saturated
+# LLRs, where it is negligible against the entry).  The floored
+# coefficients scale R_A's columns, so the metric they give at the window's
+# midpoint is the exact scaled metric plus at most S exp(-WINDOW_FLOOR) of
+# its mass, and the next boundary row is that metric carried exactly
+# through the second half, as the rows of phase 2 carry it.  That row is
+# positive, so the next log is finite; the zeros of row 0 enter as
+# log(tiny), never as log(0).  The addition moves a posterior sum by at
+# most S exp(-WINDOW_FLOOR) of the pair's total, below rounding for any sum
+# above exp(-260) of it: extrinsic LLRs up to about 260.
 LOG_MAP_CLIP = 25.0
 # Trellis steps per call of a one-window pass: the recursion past the kept
 # rows and the posterior run SLAB steps at a time.  At B = 128, 16 steps
 # take the same time as 64 with a quarter of the slab arrays.
 SLAB = 16
-# Measured at T = 1027, S = 8 on a 2-vCPU host (medians of 9 passes), one
-# window against 32: B = 1 9.4 / 2.5 ms, B = 4 10.2 / 7.0 ms, B = 8
-# 10.4 / 12.7 ms.  Phase 1's arithmetic grows as S**2 T B, so windows run
-# while B S**2 is at most this:
+# Measured at T = 1027, S = 8 on a noisy 2-vCPU host (medians of 41
+# alternating passes, three runs), one window against 32: B = 1 10-15 /
+# 1.8-2.3 ms, B = 4 9-17 / 3.9-6.0 ms, B = 8 9-17 / 6.9-9.4 ms, B = 16
+# 11-19 / 15-18 ms.  Phase 1's arithmetic grows as S**2 T B, so windows run
+# while B S**2 is at most this (32 windows now win at B = 8 too, but a
+# larger bound would change the rounding of decodes of 5 to 8 blocks):
 WINDOWED_COLUMNS = 256
 WINDOW_FLOOR = 300.0
 
@@ -396,10 +419,10 @@ WINDOW_FLOOR = 300.0
 def _window_count(batch: int, steps: int, n_states: int) -> int:
     """Trellis windows W of a ``_log_map`` pass over ``steps`` steps of ``batch`` blocks.
 
-    About sqrt(T) windows of about sqrt(T) steps, which balances the 2L
-    steps of the two phases against the W - 1 steps of the combine; one
-    window once the S unit vectors per block cost more than the T/2 steps
-    of the sequential recursion save.
+    About sqrt(T) windows of about sqrt(T) steps, which balances the
+    half-window steps of the two phases against the W - 1 steps of the
+    combine; one window once the S unit vectors per block cost more than
+    the T/2 steps of the sequential recursion save.
     """
     if batch * n_states ** 2 > WINDOWED_COLUMNS:
         return 1
@@ -425,8 +448,8 @@ class _LogMapBuffers:
     kept rows 2 S (T/2 + 1) and about 10 S ``SLAB`` in the slab arrays: at
     T = 1027 and S = 8, 133,928 bytes a block, half of them the kept rows,
     and 16.3 MiB for B = 128.  With more, all 2 S T rows, a posterior slab
-    of (4 S + 2) T, and 2 (S + 2)**2 per row of the windows' span T + 2 W:
-    2.1 MiB for B = 1 and W = 32.
+    of (4 S + 2) T, and 2 S**2 + 14 S + 16 per row of the half-windows'
+    span T/2 + 2 W: 1,652,184 bytes (1.6 MiB) for B = 1 and W = 32.
     """
 
     def __init__(self, batch: int, max_steps: int, n_states: int,
@@ -453,13 +476,14 @@ class _LogMapBuffers:
                          for name, shape in self._shapes.items()}
         self.batch = None
         self.set_batch(batch)
-        # W windows of L = ceil(T / W) steps have (L + 1) * W <= T + 2 W rows.
-        span = (max_steps + 2 * max_windows) * batch if max_windows > 1 else 0
-        self.window_branch = np.empty(8 * span)
+        # W windows of 2h steps, h = ceil(T / 2W), have (h + 1) W <= T/2 + 2W
+        # rows per half; phase 2 runs twice as many columns as phase 1.
+        span = (max_steps // 2 + 2 * max_windows) * batch if max_windows > 1 else 0
+        self.window_branch = np.empty(16 * span)
         self.unit_rows = np.empty(2 * n_states ** 2 * span)
         self.scales = np.empty(2 * n_states * span)
-        self.window_rows = np.empty(2 * n_states * span)
-        self.gathered = np.empty(max(SLAB * 4 * n_states * batch, 4 * n_states * span))
+        self.window_rows = np.empty(4 * n_states * span)
+        self.gathered = np.empty(max(SLAB * 4 * n_states * batch, 8 * n_states * span))
 
     def set_batch(self, batch: int) -> None:
         """View the per-block arrays, batch last, for passes of ``batch`` blocks."""
@@ -523,58 +547,130 @@ def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scale
         divide(nxt, total, out=nxt)
 
 
+@lru_cache(maxsize=32)
+def _half_windows(steps: int, windows: int):
+    """(h, W, tail, index) of a pass over ``steps`` steps in about ``windows`` windows.
+
+    W windows of 2h steps, h = ceil(T / 2 windows), the last one of ``tail``
+    (1 to 2h) steps.  ``index`` (2h, 4, 2, W) gathers the half-windows' branch
+    table from the pass's: window w's column c = 0 runs forward from its
+    start and backward from its end, c = 1 both ways from start + h.  Rows
+    4k + m of the first h steps hold the forward steps, so that
+    ``_advance``'s backward index 2h - 1 - k reads the backward ones.  Steps
+    past the end, only in half-windows whose rows are dropped, are clipped.
+    """
+    half = -(-steps // (2 * windows))
+    windows = -(-steps // (2 * half))  # no window starts past the end
+    start = 2 * half * np.arange(windows)
+    end = np.minimum(start + 2 * half, steps)
+    k = np.arange(2 * half)[:, None, None]
+    step = np.where(k < half, np.stack([start, start + half]) + k,
+                    np.stack([end, start + half]) - 2 * half + k)
+    index = 4 * np.minimum(step, steps - 1)[:, None] + np.arange(4)[:, None, None]
+    index.flags.writeable = False  # shared by every call
+    return half, windows, int(steps - start[-1]), index
+
+
 def _windowed_rows(low, branch, trellis: RscTrellis, windows: int, work: _LogMapBuffers) -> None:
     """Fill ``low[1:]`` from ``low[0]``, all T rows of a pass, in windows.
 
-    The T steps are cut into W windows of L steps that run side by side on
-    the batch axis of ``_advance``.  Phase 1 pushes the S unit vectors
-    through every window, each column scaled on its own with its log scale
-    kept; the boundary rows are then chained window by window in the log
-    domain, each coefficient floored at exp(-WINDOW_FLOOR) of the largest;
-    phase 2 runs every window again from its boundary row.
+    The T steps are cut into W windows of 2h steps (``_half_windows``) that
+    run side by side on the batch axis of ``_advance``.  Phase 1 pushes the
+    S unit vectors forward through the first half of every window and
+    backward through the second, h steps each, every column scaled on its
+    own with its log scale kept; ``_window_starts`` combines them into the
+    rows at every window's boundaries and midpoint, and phase 2 runs the 2W
+    half-windows again from those rows.
     """
-    n_rows, _, n_states, batch = low.shape
-    steps = branch.shape[0] // 4
-    length = -(-steps // windows)
-    windows = -(-steps // length)  # no window starts past the end
+    steps, _, n_states, batch = low.shape
+    half, windows, tail, index = _half_windows(steps, windows)
     cols = windows * batch
-    # The windows' branch table: for window w, rows 4k + m hold step wL + k
-    # and rows 4(L + k) + m step T - L - wL + k, so that _advance's backward
-    # index 2L - 1 - k reads step T - 1 - wL - k.  Steps past either end
-    # (only in the last window, whose rows from T on are dropped) are clipped.
-    k = np.arange(length)[:, None]
-    start = length * np.arange(windows)
-    step = np.clip(np.concatenate([start + k, steps - length - start + k]), 0, steps - 1)
-    table = np.take(branch, 4 * step[:, None] + np.arange(4)[:, None], axis=0,
-                    out=_shaped(work.window_branch, 2 * length, 4, windows, batch))
-    table = table.reshape(8 * length, cols)
+    table = np.take(branch, index, axis=0, out=_shaped(work.window_branch, *index.shape, batch))
 
-    units = _shaped(work.unit_rows, length + 1, 2, n_states, n_states, cols)
-    units[0] = np.eye(n_states)[:, :, None]  # column (u, w, b) starts in state u
-    scales = _shaped(work.scales, length, 2, 1, n_states, cols)
-    _advance(units, table, trellis, 0, work.gathered, scales)
-    # transfer[w, d, b, s', u] and log_scale[w, d, b, u] of each window
-    transfer = units[length].reshape(2, n_states, n_states, windows, batch)
-    transfer = transfer.transpose(3, 0, 4, 1, 2)
-    log_scale = np.log(scales).sum(axis=0).reshape(2, n_states, windows, batch)
-    log_scale = log_scale.transpose(2, 0, 3, 1)
+    units = _shaped(work.unit_rows, half + 1, 2, n_states, n_states, cols)
+    units[0] = trellis.units[..., None]  # column (n, w, b) starts in state n
+    scales = _shaped(work.scales, half, 2, 1, n_states, cols)
+    _advance(units, table[:, :, 0].reshape(8 * half, cols), trellis, 0, work.gathered, scales)
+    rows = _shaped(work.window_rows, half + 1, 2, n_states, 2 * cols)
+    _window_starts(units, scales, low[0], tail, trellis,
+                   rows[0].reshape(2, n_states, 2, windows, batch))
+    _advance(rows, table.reshape(8 * half, 2 * cols), trellis, 0, work.gathered)
+    # Row r holds alpha_r and beta_{T-r}: alpha_r from forward row r - 2hw -
+    # hc of half-window (w, c); beta_{T-r} from the last window's backward
+    # rows for r < tail, and from window W - 2 - (r - tail) // 2h on.
+    out = rows[:half].reshape(half, 2, n_states, 2, windows, batch).transpose(1, 4, 3, 0, 2, 5)
+    low[:, 0] = out[0].reshape(2 * half * windows, n_states, batch)[:steps]
+    low[tail:, 1] = out[1, -2::-1].reshape(steps - tail, n_states, batch)
+    low[:min(tail, half), 1] = out[1, -1, 0, :tail]
+    low[half:tail, 1] = out[1, -1, 1, 2 * half - tail:half]
 
-    bounds = np.empty((windows, 2, batch, n_states))
-    bounds[0] = low[0].transpose(0, 2, 1)
-    log_x = np.log(np.maximum(bounds[0], np.finfo(float).tiny))
-    for w in range(windows - 1):
-        a = log_x + log_scale[w]
-        a -= a.max(axis=-1, keepdims=True)
+
+def _window_starts(units, scales, row0, tail: int, trellis: RscTrellis, out) -> None:
+    """Phase 2's first rows ``out[d, s, c, w, b]`` from phase 1's half transfers.
+
+    ``units`` and ``scales`` are phase 1's rows and step sums, ``row0`` the
+    pass's row 0 and ``tail`` the steps of its last window.  A backward
+    transfer over some steps is the transpose of the forward one over them,
+    so a window's forward transfer is the product of its two half transfers
+    and its backward transfer the transpose of that.  The window boundaries
+    (c = 0) are chained in order in the log domain, each coefficient floored
+    at exp(-WINDOW_FLOOR) of the largest, and the midpoints (c = 1) read off
+    the half transfers.  A last window shorter than 2h is split into
+    min(tail, h) steps forward and the rest backward.
+    """
+    _, n_states, _, windows, batch = out.shape
+    half = scales.shape[0]
+    rev = trellis.bit_reversed
+    # log_scales relative to the first column's: a constant per half-window
+    # cancels below, and the differences sum to small, finely rounded values
+    log_scales = np.log(scales)
+    log_scales -= log_scales[:, :, :, :1]
+    # halves[w, d, b, s, n] and log_scale[w, d, b, n]: window w's half
+    # transfer from state n, times exp(log_scale), forward over its first
+    # half (d = 0) and backward over its second (d = 1, bit-reversed rows)
+    halves = units[half].reshape(2, n_states, n_states, windows, batch).transpose(3, 0, 4, 1, 2)
+    halves = np.ascontiguousarray(halves)
+    log_scale = log_scales.sum(axis=0).reshape(2, n_states, windows, batch).transpose(2, 0, 3, 1)
+    if tail < 2 * half:
+        split = [min(tail, half), tail - min(tail, half)]
+        halves[-1] = units[split, [0, 1], ..., -batch:].transpose(0, 3, 1, 2)
+        for d, n in enumerate(split):
+            log_scale[-1, d] = log_scales[:n, d, 0, :, -batch:].sum(axis=0).T
+    # product[w, b, n, u]: window w's forward transfer from u to n, divided
+    # by exp(log_scale[w, 0, b, u] + log_scale[w, 1, b, n]).  Chain step i
+    # runs window i forward and window W - 1 - i backward, both over natural
+    # states, its input scaled by the right-hand log scale and its output by
+    # the left-hand one; the last step's output is not used.
+    product = np.matmul(halves[:, 1].swapaxes(-1, -2), halves[:, 0][:, :, rev])
+    chain = np.stack([product, product[::-1].swapaxes(-1, -2)], axis=1)
+    right = np.stack([log_scale[:, 0], log_scale[::-1, 1]], axis=1)[..., None]
+    left = np.stack([log_scale[:-1, 1], log_scale[:0:-1, 0]], axis=1)[..., None]
+    right[1:] += left
+
+    # coef[i]: chain step i's input coefficients, floored; log_y[i] the log
+    # of its output before the left-hand scale
+    coef = np.empty((windows, 2, batch, n_states, 1))
+    log_y = np.empty_like(coef)
+    log_x = row0.transpose(0, 2, 1)[..., None].copy()
+    log_x[1] = log_x[1][:, rev]
+    np.log(np.maximum(log_x, np.finfo(float).tiny, out=log_x), out=log_x)
+    for a, shift, matrix, y in zip(coef, right, chain, log_y):
+        np.add(log_x, shift, out=a)
+        a -= np.maximum.reduce(a, axis=-2, keepdims=True)
         np.exp(np.maximum(a, -WINDOW_FLOOR, out=a), out=a)
-        np.matmul(transfer[w], a[..., None], out=bounds[w + 1, ..., None])
-        log_x = np.log(bounds[w + 1])
-    bounds[1:] /= bounds[1:].sum(axis=-1, keepdims=True)
+        log_x = np.log(np.matmul(matrix, a, out=y), out=y)
+    bounds = np.add(log_y[:-1], left, out=log_y[:-1])[..., 0]
+    bounds -= bounds.max(axis=-1, keepdims=True)
+    np.exp(bounds, out=bounds)
+    bounds /= bounds.sum(axis=-1, keepdims=True)
+    mids = np.matmul(halves, np.stack([coef[:, 0], coef[::-1, 1]], axis=1))[..., 0]
+    mids /= mids.sum(axis=-1, keepdims=True)
 
-    rows = _shaped(work.window_rows, length + 1, 2, n_states, cols)
-    rows[0].reshape(2, n_states, windows, batch)[...] = bounds.transpose(1, 3, 0, 2)
-    _advance(rows, table, trellis, 0, work.gathered)
-    low[:] = rows[:length].reshape(length, 2, n_states, windows, batch).transpose(
-        3, 0, 1, 2, 4).reshape(windows * length, 2, n_states, batch)[:n_rows]
+    out[:, :, 0, 0] = row0
+    out[0, :, 0, 1:] = bounds[:, 0].transpose(2, 0, 1)
+    out[1, :, 0, -1] = row0[1]
+    out[1, :, 0, :-1] = bounds[::-1, 1].transpose(2, 0, 1)[rev]
+    out[:, :, 1] = mids.transpose(1, 3, 0, 2)
 
 
 def _extrinsic(alpha, beta_next, parity_factor, trellis: RscTrellis, out,

@@ -1,4 +1,5 @@
 """Turbo codec: encoder structure, golden vectors, decoder performance."""
+import itertools
 import json
 import math
 import pathlib
@@ -17,7 +18,9 @@ from qtsim.turbo import (
     CodedFrame,
     RscTrellis,
     TurboConfig,
+    _advance,
     _bcjr,
+    _half_windows,
     _iterate,
     _log_map,
     _LogMapBuffers,
@@ -114,6 +117,13 @@ def test_batched_turbo_encode_matches_single_blocks():
         assert np.array_equal(row, turbo_encode(info, cfg).to_bits())
     with pytest.raises(ValueError):
         turbo_encode_batch(infos[:, :100], cfg)
+
+
+def test_empty_batch_encodes_and_decodes():
+    cfg = TurboConfig()
+    coded = turbo_encode_batch(np.zeros((0, cfg.block_length), dtype=np.int8), cfg)
+    assert coded.shape == (0, coded_block_bits(cfg)) and coded.dtype == np.int8
+    assert turbo_decode_batch(coded, cfg).shape == (0, cfg.block_length)
 
 
 def test_golden_vectors():
@@ -448,6 +458,69 @@ def test_windowed_log_map_matches_one_window(steps, batch, terminated, generator
     np.testing.assert_allclose(windowed, one, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(one, _ORACLE(l_sys, l_par, l_apriori, trellis, terminated),
                                rtol=1e-9, atol=1e-9)
+
+
+# (T, windows) -> (half-window h, steps of the last window), shapes that the
+# draws above can miss: one-step halves with a full last window and with a
+# last window of one step; a last window between one and two halves, with
+# h = 2, with an odd h and with halves of hundreds of steps; and the two
+# passes of a K = 1024 block, whose last windows are full and shorter than a
+# half.  Each runs noisy LLRs and saturated ones of random sign, which over
+# long halves give log scales in the thousands.
+@pytest.mark.parametrize("steps, windows, half, tail", [
+    (40, 64, 1, 2), (41, 40, 1, 1), (43, 21, 2, 3), (65, 2, 17, 31),
+    (1027, 2, 257, 513), (1027, 3, 172, 339), (1024, 32, 16, 32), (1027, 32, 17, 7),
+])
+@pytest.mark.parametrize("generators", _GENERATORS)
+def test_windowed_log_map_edge_cases(steps, windows, half, tail, generators):
+    h, _, last, _ = _half_windows(steps, windows)
+    assert (h, last) == (half, tail)
+    trellis = RscTrellis(*generators)
+    rng = np.random.default_rng(steps * windows)
+    for terminated, saturated in itertools.product((True, False), repeat=2):
+        if saturated:
+            l_sys, l_par = 30.0 * rng.choice([-1.0, 1.0], size=(2, 2, steps))
+            l_apriori = np.zeros_like(l_sys)
+        else:
+            l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, 2, steps))
+        one = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=1)
+        with np.errstate(all="raise"):
+            windowed = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=windows)
+        np.testing.assert_allclose(windowed, one, rtol=1e-12, atol=1e-13)
+
+
+def _pushed_transfers(branch, trellis):
+    """Both directions' transfers over all steps of ``branch`` (rows 4t + m, one column).
+
+    ``[0][s, n]`` is the forward transfer from state n to s; ``[1][s, n]`` the
+    backward one from state n at the last step to state s at the first, its
+    rows over bit-reversed states.  Each column is pushed through the steps
+    by ``_advance``, scaled at every step, and multiplied back by its scales.
+    """
+    steps, n_states = branch.shape[0] // 4, trellis.n_states
+    units = np.empty((steps + 1, 2, n_states, n_states, 1))
+    units[0] = trellis.units[..., None]
+    scales = np.empty((steps, 2, 1, n_states, 1))
+    _advance(units, branch, trellis, 0, np.empty(4 * n_states * steps), scales)
+    return units[-1, ..., 0] * np.exp(np.log(scales[..., 0]).sum(axis=0))
+
+
+@pytest.mark.parametrize("generators", _GENERATORS)
+def test_backward_transfer_is_the_bit_reversed_transpose(generators):
+    # the identity behind the windowed pass: over any steps the backward
+    # transfer is the transpose of the forward one (Bahl et al. 1974), so
+    # one direction per half-window gives both, and two half-window
+    # transfers compose to the window's, pushed through it directly
+    trellis = RscTrellis(*generators)
+    rev = trellis.bit_reversed
+    branch = np.random.default_rng(79).uniform(0.05, 1.0, size=(4 * 33, 1))
+    whole = _pushed_transfers(branch, trellis)
+    first = _pushed_transfers(branch[:4 * 17], trellis)
+    second = _pushed_transfers(branch[4 * 17:], trellis)
+    for transfer in (whole, first, second):
+        np.testing.assert_allclose(transfer[1], transfer[0].T[rev], rtol=1e-12)
+    np.testing.assert_allclose(second[0] @ first[0], whole[0], rtol=1e-12)
+    np.testing.assert_allclose(second[1].T @ first[0][rev], whole[0], rtol=1e-12)
 
 
 def test_one_window_is_the_default_for_large_batches():
