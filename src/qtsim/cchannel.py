@@ -112,6 +112,48 @@ def fading_coefficient(params: RicianParams, rng) -> complex:
     return complex(fading_coefficients(params, rng, 1)[0])
 
 
+# Es/N0 beyond this many dB either way is refused (see noise_variance).
+SNR_DB_LIMIT = 3000.0
+# Largest mean gain p0/d^2, so that |H|^2 has the same headroom as the LLRs.
+MAX_MEAN_POWER = 1e300
+
+
+def noise_variance(params: RicianParams, snr_db: float) -> float:
+    """The link's complex noise variance N0 at Es/N0 ``snr_db``, or ValueError.
+
+    The one rule for which link inputs run; ``SweepSpec``, ``QsdcConfig``
+    and ``transmit`` call it.  +inf is the noiseless link, N0 = 0.  Otherwise
+    ``snr_db`` must lie within +-SNR_DB_LIMIT, so the linear SNR lies in
+    [1e-300, 1e300] and an LLR, about 2 sqrt(2) SNR |H|^2 / E|H|^2, keeps a
+    factor of about 1e8 to spare for fading peaks.  The mean gain p0/d^2
+    must lie in (0, MAX_MEAN_POWER], and N0 and the LLR scale 2 sqrt(2)/N0
+    must be finite and positive, which a tiny gain at a high Es/N0 or a
+    large one at a low Es/N0 can miss.
+    """
+    try:
+        mean_power = params.mean_power
+    except OverflowError:  # d**2 beyond the float range
+        mean_power = math.inf
+    if not 0.0 < mean_power <= MAX_MEAN_POWER:
+        raise ValueError(
+            f"mean gain p0/d^2 must lie in (0, {MAX_MEAN_POWER:g}], "
+            f"got p0={params.p0}, d={params.d}"
+        )
+    if snr_db == math.inf:
+        return 0.0
+    if not abs(snr_db) <= SNR_DB_LIMIT:  # NaN, -inf and beyond the limit
+        raise ValueError(
+            f"snr_db must lie within +-{SNR_DB_LIMIT:g} dB or be +inf, got {snr_db}"
+        )
+    noise_var = mean_power / 10.0 ** (snr_db / 10.0)
+    if not (0.0 < noise_var < math.inf and 2.0 * _SQRT2 / noise_var < math.inf):
+        raise ValueError(
+            f"snr_db = {snr_db} at mean gain {mean_power:g} gives noise variance "
+            f"{noise_var:g}, outside the float range"
+        )
+    return noise_var
+
+
 def transmit(
     frame: SymbolFrame,
     params: RicianParams,
@@ -122,10 +164,9 @@ def transmit(
 
     ``coherence`` 'per_symbol' draws an independent H per symbol;
     'per_frame' holds one H for the whole frame.  Es/N0 = +inf is a
-    noiseless link; NaN and -inf are refused.
+    noiseless link; ``noise_variance`` refuses what cannot run.
     """
-    if math.isnan(frame.snr_db) or frame.snr_db == -math.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {frame.snr_db}")
+    noise_var = noise_variance(params, frame.snr_db)
     x = frame.symbols
     if coherence == "per_symbol":
         h = fading_coefficients(params, rng, x.size)
@@ -134,10 +175,8 @@ def transmit(
     else:
         raise ValueError(f"unknown coherence mode {coherence!r}")
     if frame.snr_db == math.inf:
-        noise_var = 0.0
         y = h * x
     else:
-        noise_var = params.mean_power / 10.0 ** (frame.snr_db / 10.0)
         noise = math.sqrt(noise_var / 2.0) * (
             rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
         )
@@ -163,8 +202,10 @@ def qpsk_demodulate_soft(received, csi=None, noise_var: float | None = None) -> 
         csi = np.asarray(csi)
     if csi.shape != symbols.shape:
         raise ValueError(f"csi length {csi.size} != symbol count {symbols.size}")
-    # Floor keeps the noiseless limit finite; LLRs just become huge.
-    scale = 2.0 * _SQRT2 / max(noise_var, 1e-12)
+    # The noiseless link (N0 = 0) divides by a floor instead, so its LLRs are
+    # finite, just huge; any positive N0 is used as it is, so the LLRs do not
+    # depend on the mean gain p0/d^2 at a fixed Es/N0.
+    scale = 2.0 * _SQRT2 / (noise_var if noise_var > 0 else 1e-12)
     z = np.conj(csi) * symbols
     llrs = np.empty(2 * symbols.size)
     llrs[0::2] = scale * z.real

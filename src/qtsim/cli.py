@@ -5,7 +5,8 @@ Subcommands:
   sweep          run a curve sweep (classical_ber / qber_vs_snr / shor_curve
                  / qsdc_batch / teleport_demo) and emit CSV
   qsdc           run protocol sessions and print a summary report
-  teleport-demo  teleport a handful of qubits and print fidelities
+  teleport-demo  teleport a handful of qubits and print fidelities (through
+                 the Pauli-frame kernel, as sessions and sweeps teleport)
   shor-curve     decoded-error curve over a channel-probability grid
   selftest       fast invariant suite (exits 3 on failure)
 
@@ -15,8 +16,10 @@ are the ``dest`` names of the subcommand's flags.  Its lines are parsed as
 ``--flag=value`` tokens placed in front of the command line, so command-line
 flags win; QTSIM_THREADS is a ``--threads`` token in front of those.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 selftest
-failure.
+Exit codes: 0 success, 1 configuration error, 2 I/O error (an output or
+trace path that cannot be written, a --config file that cannot be read),
+3 selftest failure.  Only ``selftest`` runs the state-vector circuits, as
+oracles.
 """
 from __future__ import annotations
 
@@ -28,10 +31,9 @@ import sys
 import numpy as np
 
 from .cchannel import RicianParams
-from .qchannel import DepolarizingParams, EveModel, NO_EVE
-from .sweeps import (
-    SWEEP_KIND_READS, SWEEP_KINDS, SweepSpec, SweepIOError, render_csv, run_sweep,
-)
+from .qchannel import DepolarizingParams, EveModel, NO_EVE, sample_pauli_flags
+from .sweeps import SWEEP_KIND_READS, SWEEP_KINDS, SweepSpec, render_csv, run_sweep
+from .teleport import is_inexact, teleport_fidelity
 from .turbo import TurboConfig
 
 EXIT_OK = 0
@@ -68,7 +70,11 @@ def parse_eve(text: str) -> EveModel:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Line-oriented key=value config; '#' starts a comment; a key appears once."""
+    """Line-oriented key=value config; '#' starts a comment; a key appears once.
+
+    A file that cannot be read raises OSError, which ``main`` reports as an
+    I/O error.
+    """
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
@@ -87,7 +93,7 @@ def load_config(path: str) -> dict[str, str]:
                 first_line[key] = lineno
                 values[key] = value
     except OSError as exc:
-        raise CliConfigError(f"cannot read config {path}: {exc}") from exc
+        raise OSError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     return values
 
 
@@ -313,23 +319,24 @@ def _cmd_qsdc(args) -> int:
 
 
 def _cmd_teleport_demo(args) -> int:
-    from .qchannel import sample_pauli
-    from .qstate import random_state
-    from .teleport import teleport_once
+    """Teleport Haar-random qubits over depolarized pairs, with no classical link.
 
+    One frame-kernel call gives every fidelity: the pairs' Pauli frames and
+    the sender's uniform (m1, m2) outcomes are drawn as flags and bits, and
+    the bits arrive as sent.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xDE40)))
     depol = DepolarizingParams.from_total(args.p_eq)
-    print(f"teleporting {args.trials} random qubits (P_eq={args.p_eq}, seed={args.seed})")
-    n_exact = 0
-    for t in range(args.trials):
-        psi = random_state(1, rng)
-        result = teleport_once(psi, pauli_on_pair=sample_pauli(depol, rng), rng=rng)
-        n_exact += not result.is_error
-        print(
-            f"  qubit {t}: outcome=({result.outcome.m1},{result.outcome.m2}) "
-            f"fidelity={result.fidelity_to_input:.9f}"
-        )
-    print(f"exact reconstructions: {n_exact}/{args.trials}")
+    n = args.trials
+    amplitudes = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+    pair_x, pair_z = sample_pauli_flags(depol, rng, n)
+    sent = rng.integers(0, 2, size=2 * n, dtype=np.int8)
+    fidelities = teleport_fidelity(amplitudes, pair_x, pair_z, sent, sent)
+    print(f"teleporting {n} random qubits (P_eq={args.p_eq}, seed={args.seed})")
+    for t, ((m1, m2), fid) in enumerate(zip(sent.reshape(n, 2).tolist(), fidelities.tolist())):
+        print(f"  qubit {t}: outcome=({m1},{m2}) fidelity={fid:.9f}")
+    print(f"exact reconstructions: {np.count_nonzero(~is_inexact(fidelities))}/{n}")
     return EXIT_OK
 
 
@@ -363,7 +370,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SweepIOError as exc:
+    except OSError as exc:  # SweepIOError, or an unreadable --config
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cchannel import RicianParams
+from .cchannel import RicianParams, noise_variance
 from .qchannel import DepolarizingParams, EveModel, NO_EVE, effective_params
 from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
 from .shor import exact_logical_rate, transit_flags
@@ -82,8 +82,7 @@ class QsdcConfig:
             raise ValueError("threshold must lie in (0, 1)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db}")
+        noise_variance(self.rician, self.snr_db)
         if self.classical_bypass_ber is not None and not 0.0 <= self.classical_bypass_ber <= 1.0:
             raise ValueError(
                 f"classical_bypass_ber must lie in [0, 1], got {self.classical_bypass_ber}"

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cchannel import RicianParams
+from .cchannel import RicianParams, noise_variance
 from .link import send_bits
 from .metrics import MetricAccumulator
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
@@ -151,9 +151,8 @@ class SweepSpec:
             raise ValueError("threads must be >= 1")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "p_eq_list", tuple(float(p) for p in self.p_eq_list))
-        bad = [s for s in self.snr_grid_db if math.isnan(s) or s == -math.inf]
-        if bad:
-            raise ValueError(f"snr_db values must be numbers or +inf, got {bad}")
+        for snr_db in self.snr_grid_db:
+            noise_variance(self.rician, snr_db)
         if self.classical_bypass_ber is not None and not 0.0 <= self.classical_bypass_ber <= 1.0:
             raise ValueError(
                 f"classical_bypass_ber must lie in [0, 1], got {self.classical_bypass_ber}"

@@ -5,9 +5,13 @@ the receiver holds qubit 2.  The sender entangles and measures, two classical
 bits travel to the receiver, and the receiver applies the conditional
 correction.  With clean channels the protocol is exact.
 
-These state-vector circuits are the oracle.  Sessions and teleport sweeps
-run ``teleport_frames``: every step is Clifford, so a payload qubit arrives
-under one residual Pauli, and one vectorized call judges a whole batch.
+These state-vector circuits are the oracle; only tests, ``qtsim selftest``
+and the benchmark tracer run them.  Every step is Clifford, so a payload
+qubit arrives under one residual Pauli, and its fidelity is a squared Bloch
+component (Gottesman-Knill).  ``teleport_fidelity`` computes it for a whole
+batch; ``teleport_errors`` judges it, and ``teleport_frames`` sends the bits
+over the link first.  Sessions, teleport sweeps and ``qtsim teleport-demo``
+all run these.
 
 Classical bit order on the wire is (m1, m2) with m1 the measurement of the
 Hadamard-ed payload qubit.  The correction for outcome (1, 1) is X first,
@@ -65,7 +69,12 @@ class TeleportResult:
 
     @property
     def is_error(self) -> bool:
-        return self.fidelity_to_input < 1.0 - ERROR_FIDELITY_TOL
+        return is_inexact(self.fidelity_to_input)
+
+
+def is_inexact(fidelity):
+    """Whether a teleport with this fidelity to the input counts as an error."""
+    return fidelity < 1.0 - ERROR_FIDELITY_TOL
 
 
 def sender_measure(joint: StateVector, rng) -> tuple[BellOutcome, StateVector]:
@@ -101,18 +110,16 @@ PAULI_FROM_FLAGS = {
 }  # keyed by (x, z) frame flags
 
 
-def teleport_errors(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
-    """Pauli-frame teleports: which payload qubits arrive corrupted?
+def teleport_fidelity(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
+    """Pauli-frame teleports: each payload qubit's fidelity to its input.
 
     ``amplitudes`` is one qubit's (a, b) or one row per qubit; ``pair_x`` and
     ``pair_z`` are the frame flags on the receiver's half of each pair, and
     ``sent``/``received`` the (m1, m2) bits of each teleport, flat in wire
-    order.  Every step of the protocol is Clifford, so whatever the sender
-    measures, the receiver ends with the payload under one residual Pauli:
-    X iff ``pair_x`` differs from the m2 flip, Z iff ``pair_z`` differs from
-    the m1 flip.  The fidelity to the input is then the squared Bloch
-    component along that Pauli (1 for I), judged as
-    ``TeleportResult.is_error`` judges it.
+    order.  Whatever the sender measures, the receiver ends with the payload
+    under one residual Pauli: X iff ``pair_x`` differs from the m2 flip, Z
+    iff ``pair_z`` differs from the m1 flip.  The fidelity is then the
+    squared Bloch component along that Pauli (1 for I).
     """
     a, b = np.moveaxis(np.asarray(amplitudes, dtype=complex), -1, 0)
     ab = np.conj(a) * b
@@ -121,7 +128,12 @@ def teleport_errors(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
     x = np.asarray(pair_x) != flipped[1::2]
     z = np.asarray(pair_z) != flipped[0::2]
     component = np.where(x, np.where(z, bloch_y, bloch_x), np.where(z, bloch_z, 1.0))
-    return component**2 < 1.0 - ERROR_FIDELITY_TOL
+    return component**2
+
+
+def teleport_errors(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
+    """Which payload qubits arrive corrupted: ``teleport_fidelity``, judged by ``is_inexact``."""
+    return is_inexact(teleport_fidelity(amplitudes, pair_x, pair_z, sent, received))
 
 
 def teleport_frames(amplitudes, pair_x, pair_z, rng, **link):

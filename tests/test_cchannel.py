@@ -112,6 +112,19 @@ def test_transmit_refuses_nan_and_minus_inf_snr(snr_db):
         transmit(frame, RicianParams(), np.random.default_rng(44))
 
 
+@pytest.mark.parametrize("params,snr_db", [
+    (RicianParams(), 3000.5), (RicianParams(), -3000.5), (RicianParams(), 1e308),
+    (RicianParams(d=1e200), 0.0), (RicianParams(d=1e200), math.inf),
+    (RicianParams(p0=1e-200, d=1e100), 0.0),  # the gain underflows to 0
+    (RicianParams(d=1e7), 3000.0), (RicianParams(p0=1e-100), 3000.0),
+    (RicianParams(p0=1e100), -3000.0),
+])
+def test_transmit_refuses_a_link_outside_the_float_range(params, snr_db):
+    frame = qpsk_modulate(np.zeros(8, dtype=np.int8), snr_db)
+    with pytest.raises(ValueError, match="snr_db|mean gain"):
+        transmit(frame, params, np.random.default_rng(44))
+
+
 # ---------------------------------------------------------------------------
 # transmission
 # ---------------------------------------------------------------------------

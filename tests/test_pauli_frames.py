@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from qtsim.cli import main
 from qtsim.metrics import CHI2_CRIT_P001, chi2_statistic, chi2_uniform_statistic
 from qtsim.qchannel import DepolarizingParams, EveModel
 from qtsim.qsdc import (
@@ -41,6 +42,7 @@ from qtsim.teleport import (
     DEFAULT_TEST_STATE,
     PAULI_FROM_FLAGS,
     teleport_errors,
+    teleport_fidelity,
     teleport_once,
 )
 from qtsim.turbo import TurboConfig
@@ -160,6 +162,9 @@ def test_frame_teleport_verdict_matches_teleport_once(name):
             wrong = teleport_errors(psi.amplitudes, np.array([x]), np.array([z]), sent,
                                     sent ^ error)
             assert wrong.tolist() == [result.is_error], ((x, z), error, result.outcome)
+            fid = teleport_fidelity(psi.amplitudes, np.array([x]), np.array([z]), sent,
+                                    sent ^ error)
+            assert abs(fid[0] - result.fidelity_to_input) <= 1e-12, ((x, z), error)
         if name in ("default_psi", "random_psi"):
             # a flipped m2 undoes an X on the pair, a flipped m1 undoes a Z
             assert result.is_error == ((x, z) != (error[1], error[0]))
@@ -263,7 +268,7 @@ def test_sessions_and_teleport_sweeps_run_no_state_vector_gate(monkeypatch):
         raise AssertionError("state-vector call on the frame path")
 
     for module in [m for name, m in sys.modules.items() if name.startswith("qtsim")]:
-        for name in ("apply_gate", "apply_pauli", "fidelity"):
+        for name in ("apply_gate", "apply_pauli", "fidelity", "measure_qubit"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     rng = np.random.default_rng(2110)
@@ -284,3 +289,4 @@ def test_sessions_and_teleport_sweeps_run_no_state_vector_gate(monkeypatch):
         payload=[random_state(1, rng) for _ in range(8)], collect_trace=True,
     )
     assert report.decision == "accept" and report.payload_qber is not None
+    assert main(["teleport-demo", "--trials", "200", "--p-e", "0.1", "--seed", "3"]) == 0

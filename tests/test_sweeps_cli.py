@@ -489,6 +489,16 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "teleport-demo"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, command, where):
+    path = tmp_path / "no_such.cfg" if where == "missing" else tmp_path
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: cannot read config {path}")
+    assert "usage" not in err
+
+
 def test_cli_qsdc_trace_unwritable_output_exits_2(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main([
@@ -659,6 +669,17 @@ def test_cli_teleport_demo(capsys):
     assert main(["teleport-demo", "--trials", "4", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "fidelity=" in out
+
+
+def test_cli_teleport_demo_exact_count_fits_one_minus_p_eq(capsys):
+    # a qubit is exact iff its pair's frame is I, with probability 1 - P_eq
+    n, p_eq = 10_000, 0.1
+    assert main(["teleport-demo", "--trials", str(n), "--p-e", str(p_eq), "--seed", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == n + 2
+    exact = sum(float(line.rsplit("fidelity=", 1)[1]) == 1.0 for line in lines[1:-1])
+    assert lines[-1] == f"exact reconstructions: {exact}/{n}"
+    assert abs(exact - n * (1 - p_eq)) < 4 * math.sqrt(n * p_eq * (1 - p_eq))
 
 
 def test_env_var_sets_default_threads(tmp_path, monkeypatch):
@@ -839,10 +860,47 @@ def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text
     ["sweep", "--bypass-ber", "1.5", "--trials", "1000"],
     ["sweep", "--bypass-ber=-0.5", "--trials", "1000"],
     ["sweep", "--bypass-ber", "nan", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--snr-grid", "4000", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--snr-grid=-4000", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--snr-grid=-3100", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--d", "1e200", "--trials", "1000"],
+    ["sweep", "--kind", "classical_ber", "--snr-grid", "3000", "--d", "1e7",
+     "--trials", "1000"],
+    ["qsdc", "--snr-db=-1e308", "--payload", "1", "-n", "2", "-m", "20"],
+    ["qsdc", "--snr-db", "3001", "--payload", "1", "-n", "2", "-m", "20"],
+    ["qsdc", "--d", "1e200", "--payload", "1", "-n", "2", "-m", "20"],
 ])
 def test_cli_input_that_would_be_dropped_exits_1(capsys, argv):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_snr_limits_run_clean(capsys):
+    # +-3000 dB are the widest Es/N0 the link runs (cchannel.noise_variance)
+    assert main(["sweep", "--kind", "classical_ber", "--snr-grid=-3000,3000",
+                 "--trials", "1000", "--block-length", "40"]) == 0
+    rows = _parse(capsys.readouterr().out)
+    assert [row["error"] for row in rows] == [""] * 4
+    assert [float(row["ber"]) for row in rows[2:]] == [0.0, 0.0]
+    for snr_db in ("-3000", "3000"):
+        assert main(["qsdc", f"--snr-db={snr_db}", "--payload", "1", "-n", "2", "-m", "20",
+                     "--block-length", "40"]) == 0
+        out = capsys.readouterr().out
+        assert "error=" not in out and "failed=" not in out
+
+
+def test_turbo_ber_at_a_fixed_es_n0_does_not_depend_on_the_distance():
+    # Es/N0 folds in the mean gain p0/d^2, so d = 1e7 (gain 1e-14) decodes as d = 1
+    rows = {
+        d: run_sweep(SweepSpec(
+            "classical_ber", snr_grid_db=(0.0,), trials_per_point=4000, seed=3,
+            rician=sweeps_mod.RicianParams(d=d), turbo=TurboConfig(block_length=200),
+        ))
+        for d in (1.0, 1e7)
+    }
+    assert [row["variant"] for row in rows[1e7]] == ["uncoded", "turbo"]
+    assert [row["ber"] for row in rows[1e7]] == [row["ber"] for row in rows[1.0]]
+    assert rows[1e7][1]["ber"] < rows[1e7][0]["ber"] / 10
 
 
 @pytest.mark.parametrize("flag", ["--snr-grid=1,,2", "--snr-grid=1,2,", "--snr-grid=0;;4",
