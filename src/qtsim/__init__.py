@@ -59,7 +59,6 @@ from .cchannel import (
 from .turbo import (
     CodedFrame,
     TurboConfig,
-    deinterleave,
     interleave,
     turbo_decode,
     turbo_encode,
@@ -71,7 +70,6 @@ from .shor import (
     apply_pattern,
     classify_pattern,
     exact_logical_rate,
-    pauli_frame_trial,
     shor_decode,
     shor_encode,
 )
@@ -86,5 +84,5 @@ from .qsdc import (
     transmit_protected,
     verify_virtual,
 )
-from .metrics import MetricAccumulator, estimate_ber, wilson_interval
+from .metrics import MetricAccumulator, wilson_interval
 from .sweeps import SweepSpec, run_sweep

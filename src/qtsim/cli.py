@@ -2,19 +2,23 @@
 
 Subcommands:
 
-  sweep          run a curve sweep (classical_ber / qber_vs_snr / shor_curve
-                 / qsdc_batch / teleport_demo) and emit CSV
-  qsdc           run protocol sessions and print a summary report
+  sweep          run a link or teleport curve sweep (classical_ber /
+                 qber_vs_snr / teleport_demo) and emit CSV
+  qsdc           run protocol sessions (sweep kind qsdc_batch) and print a
+                 summary report
   teleport-demo  teleport a handful of qubits and print fidelities (through
                  the Pauli-frame kernel, as sessions and sweeps teleport)
-  shor-curve     decoded-error curve over a channel-probability grid
+  shor-curve     decoded-error curve (sweep kind shor_curve) over a
+                 channel-probability grid
   selftest       fast invariant suite (exits 3 on failure)
 
-Each subcommand declares only the flags it reads; argparse types, defaults
-and validates every one.  ``--config`` points at a key=value file whose keys
-are the ``dest`` names of the subcommand's flags.  Its lines are parsed as
-``--flag=value`` tokens placed in front of the command line, so command-line
-flags win; QTSIM_THREADS is a ``--threads`` token in front of those.
+Each sweep kind runs through exactly one subcommand, whose count flag takes
+its default from ``sweeps.SWEEP_KIND_READS``.  Each subcommand declares only
+the flags it reads; argparse types, defaults and validates every one.
+``--config`` points at a key=value file whose keys are the ``dest`` names of
+the subcommand's flags.  Its lines are parsed as ``--flag=value`` tokens
+placed in front of the command line, so command-line flags win;
+QTSIM_THREADS is a ``--threads`` token in front of those.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error (an output or
 trace path that cannot be written, a --config file that cannot be read),
@@ -32,7 +36,7 @@ import numpy as np
 
 from .cchannel import RicianParams
 from .qchannel import DepolarizingParams, EveModel, NO_EVE, sample_pauli_flags
-from .sweeps import SWEEP_KIND_READS, SWEEP_KINDS, SweepSpec, render_csv, run_sweep
+from .sweeps import SWEEP_KIND_READS, SweepSpec, render_csv, run_sweep
 from .teleport import is_inexact, teleport_fidelity
 from .turbo import TurboConfig
 
@@ -44,6 +48,8 @@ EXIT_SELFTEST = 3
 _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
 _CONFIG_HELP = "key=value file of flag values, keyed by flag dest names"
+# the kinds of ``sweep``; shor_curve runs through shor-curve, qsdc_batch through qsdc
+_SWEEP_COMMAND_KINDS = ("classical_ber", "qber_vs_snr", "teleport_demo")
 _P_E_HELP = ("total channel error probability P_eq per qubit "
              "(X, Z and Y each with P_eq/3), not the per-Pauli p_e")
 
@@ -124,11 +130,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="record run ms per point or session (breaks byte-stable output)")
 
 
-def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags of the eavesdropper, Shor protection and the classical link."""
-    parser.add_argument("--eve", type=parse_eve, default=NO_EVE,
-                        help="none | swap:frac | boost:delta")
-    parser.add_argument("--no-shor", action="store_true")
+def _add_link_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the classical link."""
     parser.add_argument("--no-turbo", action="store_true")
     parser.add_argument("--zeta", type=float, default=10.0, help="Rician factor")
     parser.add_argument("--p0", type=float, default=1.0)
@@ -138,11 +141,9 @@ def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decoder", choices=("log_map", "max_log_map"), default="log_map")
 
 
-def _add_axis_flags(parser: argparse.ArgumentParser, default_p_eq: tuple[float, ...]) -> None:
-    parser.add_argument("--p-eq", dest="p_eq_list", type=_floats, default=default_p_eq,
-                        help="comma list of channel error probabilities")
-    parser.add_argument("--axis-convention", choices=("total", "per_pauli"), default="total",
-                        help="shor_curve reading of --p-eq: total P_eq or per-Pauli p_e")
+def _add_bypass_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--bypass-ber", type=float, default=None,
+                        help="i.i.d. bit flips of this probability in place of the link")
 
 
 def build_parser() -> _Parser:
@@ -150,29 +151,33 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    p_sweep = sub.add_parser("sweep", help="run a curve sweep")
+    p_sweep = sub.add_parser("sweep", help="run a link or teleport curve sweep")
     _add_run_flags(p_sweep)
-    _add_channel_flags(p_sweep)
-    p_sweep.add_argument("--kind", choices=SWEEP_KINDS, default="qber_vs_snr")
+    _add_link_flags(p_sweep)
+    p_sweep.add_argument("--kind", choices=_SWEEP_COMMAND_KINDS, default="qber_vs_snr")
     p_sweep.add_argument("--trials", type=int, default=None,
-                         help="per point (default: 1000 for teleport_demo, "
-                              "1 session for qsdc_batch, else 100000)")
+                         help="per point (default: 1000 for teleport_demo, else 100000)")
     p_sweep.add_argument("--snr-grid", dest="snr_grid_db", type=_floats, default=(math.inf,),
                          help="comma list of Es/N0 points in dB "
                               "(write --snr-grid=-2,0 when the list starts negative)")
-    _add_axis_flags(p_sweep, (0.0,))
+    p_sweep.add_argument("--p-eq", dest="p_eq_list", type=_floats, default=(0.0,),
+                         help="comma list of total channel error probabilities P_eq")
     p_sweep.add_argument("--use-shor", action="store_true")
     p_sweep.add_argument("--coherence", choices=("per_symbol", "per_frame"),
                          default="per_symbol")
-    p_sweep.add_argument("--bypass-ber", type=float, default=None)
+    _add_bypass_flag(p_sweep)
 
     p_qsdc = sub.add_parser("qsdc", help="run protocol sessions")
     _add_run_flags(p_qsdc)
-    _add_channel_flags(p_qsdc)
+    _add_link_flags(p_qsdc)
+    p_qsdc.add_argument("--eve", type=parse_eve, default=NO_EVE,
+                        help="none | swap:frac | boost:delta")
+    p_qsdc.add_argument("--no-shor", action="store_true")
+    _add_bypass_flag(p_qsdc)
     p_qsdc.add_argument("-n", "--pairs", type=int, default=16, dest="n_pairs")
     p_qsdc.add_argument("-m", "--virtual", type=int, default=100, dest="m_virtual")
     p_qsdc.add_argument("--threshold", type=float, default=None)
-    p_qsdc.add_argument("--sessions", type=int, default=1)
+    p_qsdc.add_argument("--sessions", type=int, default=SWEEP_KIND_READS["qsdc_batch"].trials)
     p_qsdc.add_argument("--payload", type=int, default=0,
                         help="random payload qubits per session")
     p_qsdc.add_argument("--p-e", type=float, default=0.0, dest="p_eq", help=_P_E_HELP)
@@ -187,8 +192,12 @@ def build_parser() -> _Parser:
 
     p_shor = sub.add_parser("shor-curve", help="decoded-error curve")
     _add_run_flags(p_shor)
-    p_shor.add_argument("--trials", type=int, default=1_000_000)
-    _add_axis_flags(p_shor, (0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.105, 0.15, 0.2))
+    p_shor.add_argument("--trials", type=int, default=SWEEP_KIND_READS["shor_curve"].trials)
+    p_shor.add_argument("--p-eq", dest="p_eq_list", type=_floats,
+                        default=(0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.105, 0.15, 0.2),
+                        help="comma list of channel error probabilities")
+    p_shor.add_argument("--axis-convention", choices=("total", "per_pauli"), default="total",
+                        help="reading of --p-eq: total P_eq or per-Pauli p_e")
 
     sub.add_parser("selftest", help="fast invariant suite")
     return parser
@@ -244,9 +253,8 @@ def _run_fields(args) -> dict:
     return dict(seed=args.seed, output_path=args.out, threads=args.threads, timing=args.timing)
 
 
-def _channel_fields(args) -> dict:
+def _link_fields(args) -> dict:
     return dict(
-        eve=args.eve,
         rician=RicianParams(p0=args.p0, d=args.d, zeta=args.zeta),
         turbo=TurboConfig(
             block_length=args.block_length, iterations=args.iterations, decoder=args.decoder,
@@ -261,17 +269,17 @@ def _sweep_spec(args) -> SweepSpec:
         trials = SWEEP_KIND_READS[args.kind].trials if args.trials is None else args.trials
         return SweepSpec(
             args.kind, snr_grid_db=args.snr_grid_db, p_eq_list=args.p_eq_list,
-            trials_per_point=trials, use_shor=args.use_shor and not args.no_shor,
-            classical_bypass_ber=args.bypass_ber, axis_convention=args.axis_convention,
-            coherence=args.coherence,
-            **_run_fields(args), **_channel_fields(args),
+            trials_per_point=trials, use_shor=args.use_shor,
+            classical_bypass_ber=args.bypass_ber, coherence=args.coherence,
+            **_run_fields(args), **_link_fields(args),
         )
     if args.command == "qsdc":
         return SweepSpec(
             "qsdc_batch", snr_grid_db=(args.snr_db,), p_eq_list=(args.p_eq,),
-            trials_per_point=args.sessions, use_shor=not args.no_shor,
-            n_pairs=args.n_pairs, m_virtual=args.m_virtual, threshold=args.threshold,
-            payload_per_session=args.payload, **_run_fields(args), **_channel_fields(args),
+            trials_per_point=args.sessions, use_shor=not args.no_shor, eve=args.eve,
+            classical_bypass_ber=args.bypass_ber, n_pairs=args.n_pairs,
+            m_virtual=args.m_virtual, threshold=args.threshold,
+            payload_per_session=args.payload, **_run_fields(args), **_link_fields(args),
         )
     return SweepSpec(
         "shor_curve", p_eq_list=args.p_eq_list, trials_per_point=args.trials,

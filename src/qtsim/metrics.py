@@ -55,22 +55,6 @@ class MetricAccumulator:
         self.n_error += int(n_error)
         self.n_total += int(n_total)
 
-    def merge(self, other: "MetricAccumulator") -> None:
-        self.add(other.n_error, other.n_total)
-
-
-def estimate_ber(sent, received) -> MetricAccumulator:
-    """Hamming-distance ratio between two equal-length bit streams."""
-    sent = np.asarray(sent, dtype=np.int8)
-    received = np.asarray(received, dtype=np.int8)
-    if sent.shape != received.shape:
-        raise ValueError(
-            f"bit streams differ in length: {sent.size} vs {received.size}"
-        )
-    return MetricAccumulator(
-        n_total=int(sent.size), n_error=int(np.count_nonzero(sent != received))
-    )
-
 
 def chi2_statistic(table) -> float:
     """Pearson chi-square statistic for an observed contingency table."""

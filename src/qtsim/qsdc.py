@@ -82,6 +82,8 @@ class QsdcConfig:
             raise ValueError("threshold must lie in (0, 1)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         noise_variance(self.rician, self.snr_db)
         if self.classical_bypass_ber is not None and not 0.0 <= self.classical_bypass_ber <= 1.0:
             raise ValueError(

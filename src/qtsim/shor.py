@@ -40,7 +40,7 @@ from functools import cache
 
 import numpy as np
 
-from .qchannel import DepolarizingParams, sample_pauli, sample_pauli_flags
+from .qchannel import DepolarizingParams, sample_pauli_flags
 from .qstate import (
     CapacityError,
     MAX_QUBITS,
@@ -199,16 +199,6 @@ def classify_pattern(pattern: PauliPattern) -> SyndromeResult:
     else:
         residual = PauliError.I
     return SyndromeResult(corrected=syndrome_fired, logical_error=residual)
-
-
-def sample_pattern(params: DepolarizingParams, rng) -> PauliPattern:
-    """Draw one per-position error pattern with the four-rule sampler."""
-    return PauliPattern(tuple(sample_pauli(params, rng) for _ in range(9)))
-
-
-def pauli_frame_trial(params: DepolarizingParams, rng) -> SyndromeResult:
-    """One fast Monte Carlo trial: sample a pattern, classify symbolically."""
-    return classify_pattern(sample_pattern(params, rng))
 
 
 def _decode_tables() -> tuple[np.ndarray, np.ndarray]:

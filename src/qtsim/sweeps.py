@@ -12,6 +12,9 @@ results in chunk order.
 byte-stable; with timing it is the summed run time of the point's chunks.
 ``qber_vs_snr`` and ``teleport_demo`` trials teleport through
 ``teleport.teleport_frames``, the kernel a session's payload goes through.
+On the command line each kind has one subcommand: ``qtsim sweep`` runs
+``classical_ber``, ``qber_vs_snr`` and ``teleport_demo``, ``qtsim
+shor-curve`` runs ``shor_curve`` and ``qtsim qsdc`` runs ``qsdc_batch``.
 
 CSV schema (curve sweeps), one row per grid point:
 
@@ -53,7 +56,7 @@ from .turbo import TurboConfig
 
 
 class KindReads(NamedTuple):
-    trials: int  # trials per point when the command line gives none
+    trials: int  # default count (trials per point, or sessions) of the kind's command
     fields: tuple[str, ...]  # SweepSpec fields read besides the run fields
 
 
@@ -65,7 +68,7 @@ _TELEPORT_FIELDS = (*_LINK_FIELDS, "p_eq_list", "use_shor", "classical_bypass_be
 SWEEP_KIND_READS = {
     "classical_ber": KindReads(100_000, _LINK_FIELDS),
     "qber_vs_snr": KindReads(100_000, _TELEPORT_FIELDS),
-    "shor_curve": KindReads(100_000, ("p_eq_list", "axis_convention")),
+    "shor_curve": KindReads(1_000_000, ("p_eq_list", "axis_convention")),
     "qsdc_batch": KindReads(1, (
         "snr_grid_db", "p_eq_list", "rician", "turbo", "use_turbo", "use_shor", "eve",
         "classical_bypass_ber", "n_pairs", "m_virtual", "threshold", "payload_per_session",
@@ -149,6 +152,8 @@ class SweepSpec:
             )
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "p_eq_list", tuple(float(p) for p in self.p_eq_list))
         for snr_db in self.snr_grid_db:
@@ -423,40 +428,54 @@ def run_sweep(spec: SweepSpec, trace_path: str | None = None) -> list[dict]:
     pool worker costs a rerun of all unfinished chunks, one point at a time
     on a fresh pool; only a point that kills a worker there too gets an
     error row.  With ``trace_path`` (qsdc_batch only), every measured pair
-    of every session is written there as one line, in session order.
+    of every session is written there as one line, in session order.  The
+    output paths are opened before the first chunk runs, so one that cannot
+    be written raises SweepIOError before any work is done.
     """
     if trace_path is not None and spec.sweep_kind != "qsdc_batch":
         raise ValueError("a pair trace needs sweep kind qsdc_batch")
     trace = None if trace_path is None else ["# session attempt kind pair bit_a bit_b ok\n"]
     worker, points = _points(spec, trace)
-    outcomes = iter(_run_chunks(spec, worker, points))
-    rows = []
-    for row, point_jobs, merge in points:
-        results, seconds = zip(*islice(outcomes, len(point_jobs)))
-        try:
-            for result in results:
-                if isinstance(result, Exception):
-                    raise result
-            point_rows = merge(row, list(results))
-        except Exception as exc:  # a failed point must not end the sweep
-            row["error"] = f"{type(exc).__name__}: {exc}"
-            point_rows = [row]
-        if spec.timing:
-            for out in point_rows:
-                out["wall_ms"] = round(1000.0 * sum(seconds), 3)
-        rows.extend(point_rows)
-    if trace is not None:
-        _write_text(trace_path, "".join(trace))
-    if spec.output_path:
-        _write_text(spec.output_path, render_csv(spec, rows))
+    with ExitStack() as files:
+        trace_file, csv_file = (
+            _open_text(files, path) if path else None for path in (trace_path, spec.output_path)
+        )
+        outcomes = iter(_run_chunks(spec, worker, points))
+        rows = []
+        for row, point_jobs, merge in points:
+            results, seconds = zip(*islice(outcomes, len(point_jobs)))
+            try:
+                for result in results:
+                    if isinstance(result, Exception):
+                        raise result
+                point_rows = merge(row, list(results))
+            except Exception as exc:  # a failed point must not end the sweep
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                point_rows = [row]
+            if spec.timing:
+                for out in point_rows:
+                    out["wall_ms"] = round(1000.0 * sum(seconds), 3)
+            rows.extend(point_rows)
+        if trace_file:
+            _write_text(trace_file, "".join(trace))
+        if csv_file:
+            _write_text(csv_file, render_csv(spec, rows))
     return rows
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``; SweepIOError if it cannot."""
+def _open_text(files: ExitStack, path: str):
+    """``path`` opened for writing and closed with ``files``; SweepIOError if it cannot be."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return files.enter_context(open(path, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise SweepIOError(str(exc)) from exc
+
+
+def _write_text(fh, text: str) -> None:
+    """Write ``text`` to the open file ``fh``; SweepIOError if it cannot."""
+    try:
+        fh.write(text)
+        fh.flush()
     except OSError as exc:
         raise SweepIOError(str(exc)) from exc
 

@@ -257,14 +257,6 @@ def interleave(values, seed: int) -> np.ndarray:
     return values[..., _permutation(seed, values.shape[-1])]
 
 
-def deinterleave(values, seed: int) -> np.ndarray:
-    """Inverse of ``interleave`` with the same seed."""
-    values = np.asarray(values)
-    out = np.empty_like(values)
-    out[..., _permutation(seed, values.shape[-1])] = values
-    return out
-
-
 def _encode_streams(info: np.ndarray, cfg: TurboConfig):
     """The five frame streams of a (B, K) batch, each (B, length) int8."""
     trellis = _trellis(cfg.generators)

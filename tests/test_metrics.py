@@ -7,23 +7,8 @@ from qtsim.metrics import (
     MetricAccumulator,
     chi2_statistic,
     chi2_uniform_statistic,
-    estimate_ber,
     wilson_interval,
 )
-
-
-def test_identical_streams_give_zero():
-    bits = np.array([0, 1, 1, 0, 1])
-    acc = estimate_ber(bits, bits)
-    assert acc.rate == 0.0
-    assert acc.n_total == 5
-
-
-def test_one_flip_in_thousand():
-    sent = np.zeros(1000, dtype=np.int8)
-    received = sent.copy()
-    received[123] = 1
-    assert estimate_ber(sent, received).rate == pytest.approx(1e-3)
 
 
 def test_worst_case_pair_mapping_doubles_rate():
@@ -34,7 +19,7 @@ def test_worst_case_pair_mapping_doubles_rate():
     received = sent.copy()
     hit_pairs = np.arange(0, 50)
     received[2 * hit_pairs] ^= 1  # one flipped bit per hit pair
-    ber = estimate_ber(sent, received).rate
+    ber = np.count_nonzero(sent != received) / sent.size
     qubit_errors = sum(
         received[2 * q] != sent[2 * q] or received[2 * q + 1] != sent[2 * q + 1]
         for q in range(n_qubits)
@@ -43,15 +28,10 @@ def test_worst_case_pair_mapping_doubles_rate():
     assert qber == pytest.approx(2 * ber)
 
 
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError):
-        estimate_ber(np.zeros(4), np.zeros(5))
-
-
 def test_accumulator_merge_and_invariants():
     acc = MetricAccumulator()
     acc.add(3, 100)
-    acc.merge(MetricAccumulator(n_total=100, n_error=1))
+    acc.add(1, 100)
     assert acc.n_total == 200 and acc.n_error == 4
     assert acc.rate == pytest.approx(0.02)
     lo, hi = acc.wilson_ci95

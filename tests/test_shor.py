@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qtsim.qchannel import DepolarizingParams
+from qtsim.qchannel import DepolarizingParams, sample_pauli
 from qtsim.qstate import (
     CapacityError,
     PHI_PLUS,
@@ -25,8 +25,6 @@ from qtsim.shor import (
     classify_pattern,
     exact_logical_rate,
     pauli_frame_batch,
-    pauli_frame_trial,
-    sample_pattern,
     shor_decode,
     shor_encode,
 )
@@ -223,23 +221,13 @@ def test_monte_carlo_agrees_with_exact_rate():
     assert abs(hits / n - exact) < 4 * sigma
 
 
-def test_pauli_frame_trial_zero_channel():
-    rng = np.random.default_rng(38)
-    params = DepolarizingParams.from_total(0.0)
-    for _ in range(100):
-        result = pauli_frame_trial(params, rng)
-        assert result.logical_error is PauliError.I
-        assert not result.corrected
-
-
 def test_sampled_patterns_use_channel_statistics():
     rng = np.random.default_rng(39)
     params = DepolarizingParams.from_total(0.3)
     n = 2000
     counts = {p: 0 for p in PAULIS}
-    for _ in range(n):
-        for err in sample_pattern(params, rng).errors:
-            counts[err] += 1
+    for _ in range(9 * n):  # nine positions per pattern
+        counts[sample_pauli(params, rng)] += 1
     total = 9 * n
     sigma = math.sqrt(total * 0.1 * 0.9)
     for err in (PauliError.X, PauliError.Y, PauliError.Z):

@@ -509,6 +509,38 @@ def test_cli_qsdc_trace_unwritable_output_exits_2(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,worker", [
+    (["sweep", "--kind", "classical_ber", "--trials", "200000", "--snr-grid", "0,2",
+      "--out", "{bad}"], "_ber_chunk"),
+    (["qsdc", "-n", "2", "-m", "20", "--trace", "{good}", "--out", "{bad}"], "_session_chunk"),
+    (["qsdc", "-n", "2", "-m", "20", "--trace", "{bad}", "--out", "{good}"], "_session_chunk"),
+], ids=["sweep_out", "qsdc_out", "qsdc_trace"])
+def test_unwritable_output_exits_2_before_any_chunk_runs(tmp_path, capsys, monkeypatch,
+                                                         argv, worker):
+    ran = []  # a raising chunk would only fail its point, so record the calls
+    monkeypatch.setattr(sweeps_mod, worker, ran.append)
+    paths = {"bad": tmp_path / "no" / "such" / "dir" / "out", "good": tmp_path / "good"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert ran == []
+
+
+def test_qsdc_bypass_ber_writes_the_sweep_spec_bytes(tmp_path, capsys):
+    # sessions over the i.i.d. bypass run through qsdc, as the equal SweepSpec does
+    out = tmp_path / "cli.csv"
+    assert main(["qsdc", "--bypass-ber", "0.1", "--sessions", "3", "-n", "4", "-m", "20",
+                 "--payload", "2", "--p-e", "0.01", "--seed", "2", "--out", str(out)]) == 0
+    spec = SweepSpec("qsdc_batch", classical_bypass_ber=0.1, use_shor=True, p_eq_list=(0.01,),
+                     trials_per_point=3, n_pairs=4, m_virtual=20, payload_per_session=2,
+                     seed=2, output_path=str(tmp_path / "spec.csv"))
+    run_sweep(spec)
+    assert out.read_bytes() == (tmp_path / "spec.csv").read_bytes()
+    assert "# classical_bypass_ber=0.1\n" in out.read_text()
+    for ber in ("1.5", "-0.5", "nan"):
+        assert main(["qsdc", f"--bypass-ber={ber}", "-m", "20"]) == 1
+        assert "classical_bypass_ber must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_cli_qsdc_trace_bytes_fixed_seed(tmp_path, capsys):
     # The trace was recorded before trace rows became opt-in inside sessions;
     # untraced sessions draw the same numbers, so their CSV rows match too.
@@ -712,9 +744,7 @@ _RUN_VALUES = {
     "threads": st.integers(1, 4).map(str),
     "timing": _BOOLEAN,
 }
-_CHANNEL_VALUES = {
-    "eve": st.sampled_from(["none", "swap", "swap:0.25", "boost", "boost:0.3"]),
-    "no_shor": _BOOLEAN,
+_LINK_VALUES = {
     "no_turbo": _BOOLEAN,
     "zeta": _floats_text(0.0, 50.0),
     "p0": _floats_text(0.1, 10.0),
@@ -723,23 +753,23 @@ _CHANNEL_VALUES = {
     "iterations": st.integers(1, 16).map(str),
     "decoder": st.sampled_from(["log_map", "max_log_map"]),
 }
-_AXIS_VALUES = {
-    "p_eq_list": _float_list_text(0.0, 0.3),
-    "axis_convention": st.sampled_from(["total", "per_pauli"]),
-}
 # Values each subcommand's flags accept, keyed by flag dest (= config key).
 _FLAG_VALUES = {
     "sweep": {
-        **_RUN_VALUES, **_CHANNEL_VALUES, **_AXIS_VALUES,
-        "kind": st.sampled_from(SWEEP_KINDS),
+        **_RUN_VALUES, **_LINK_VALUES,
+        "kind": st.sampled_from(["classical_ber", "qber_vs_snr", "teleport_demo"]),
         "trials": st.integers(1000, 10**6).map(str),
         "snr_grid_db": _float_list_text(-10.0, 20.0),
+        "p_eq_list": _float_list_text(0.0, 0.3),
         "use_shor": _BOOLEAN,
         "coherence": st.sampled_from(["per_symbol", "per_frame"]),
         "bypass_ber": _floats_text(0.0, 0.5),
     },
     "qsdc": {
-        **_RUN_VALUES, **_CHANNEL_VALUES,
+        **_RUN_VALUES, **_LINK_VALUES,
+        "eve": st.sampled_from(["none", "swap", "swap:0.25", "boost", "boost:0.3"]),
+        "no_shor": _BOOLEAN,
+        "bypass_ber": _floats_text(0.0, 0.5),
         "n_pairs": st.integers(0, 64).map(str),
         "m_virtual": st.integers(20, 400).map(str),
         "threshold": _floats_text(0.01, 0.99),
@@ -750,8 +780,10 @@ _FLAG_VALUES = {
         "trace": st.sampled_from(["trace.txt"]),
     },
     "shor-curve": {
-        **_RUN_VALUES, **_AXIS_VALUES,
+        **_RUN_VALUES,
         "trials": st.integers(1000, 10**7).map(str),
+        "p_eq_list": _float_list_text(0.0, 0.3),
+        "axis_convention": st.sampled_from(["total", "per_pauli"]),
     },
     "teleport-demo": {
         "seed": st.integers(0, 2**32).map(str),
@@ -869,6 +901,9 @@ def test_cli_config_input_it_cannot_read_exits_1(tmp_path, capsys, command, text
     ["qsdc", "--snr-db=-1e308", "--payload", "1", "-n", "2", "-m", "20"],
     ["qsdc", "--snr-db", "3001", "--payload", "1", "-n", "2", "-m", "20"],
     ["qsdc", "--d", "1e200", "--payload", "1", "-n", "2", "-m", "20"],
+    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--seed", "-1", "--snr-grid", "0"],
+    ["qsdc", "--seed", "-3", "-m", "20"],
+    ["shor-curve", "--seed", "-1", "--trials", "1000", "--p-eq", "0.1"],
 ])
 def test_cli_input_that_would_be_dropped_exits_1(capsys, argv):
     assert main(argv) == 1
@@ -983,23 +1018,73 @@ def test_qsdc_trace_bytes_identical_across_threads(tmp_path):
 # each sweep kind takes only the fields it reads
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--kind", "shor_curve", "--p-eq", "0.1", "--trials", "1000", "--zeta", "3",
-     "--eve", "boost:0.2", "--no-turbo"],
-    ["sweep", "--kind", "shor_curve", "--trials", "1000", "--snr-grid", "4"],
-    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--p-eq", "0.1"],
-    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--bypass-ber", "0.1"],
-    ["sweep", "--kind", "classical_ber", "--trials", "1000", "--use-shor"],
-    ["sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--eve", "swap:0.5"],
-    ["sweep", "--kind", "teleport_demo", "--eve", "boost:0.1"],
-    ["sweep", "--kind", "qsdc_batch", "--coherence", "per_frame"],
-    ["sweep", "--kind", "qsdc_batch", "--axis-convention", "per_pauli"],
-    ["sweep", "--kind", "qber_vs_snr", "--axis-convention", "per_pauli"],
-])
-def test_flag_the_sweep_kind_does_not_read_exits_1(capsys, argv):
+_NOT_ON_SWEEP = "invalid choice: '{}'"  # the kind runs through its own command
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--kind", "shor_curve", "--p-eq", "0.1", "--trials", "1000", "--zeta", "3",
+      "--eve", "boost:0.2", "--no-turbo"], _NOT_ON_SWEEP.format("shor_curve")),
+    (["sweep", "--kind", "shor_curve", "--trials", "1000", "--snr-grid", "4"],
+     _NOT_ON_SWEEP.format("shor_curve")),
+    (["sweep", "--kind", "classical_ber", "--trials", "1000", "--p-eq", "0.1"],
+     "does not read p_eq_list"),
+    (["sweep", "--kind", "classical_ber", "--trials", "1000", "--bypass-ber", "0.1"],
+     "does not read classical_bypass_ber"),
+    (["sweep", "--kind", "classical_ber", "--trials", "1000", "--use-shor"],
+     "does not read use_shor"),
+    (["sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--eve", "swap:0.5"],
+     "unrecognized arguments: --eve swap:0.5"),
+    (["sweep", "--kind", "teleport_demo", "--eve", "boost:0.1"],
+     "unrecognized arguments: --eve boost:0.1"),
+    (["sweep", "--kind", "qsdc_batch", "--coherence", "per_frame"],
+     _NOT_ON_SWEEP.format("qsdc_batch")),
+    (["sweep", "--kind", "qsdc_batch", "--axis-convention", "per_pauli"],
+     _NOT_ON_SWEEP.format("qsdc_batch")),
+    (["sweep", "--kind", "qber_vs_snr", "--axis-convention", "per_pauli"],
+     "unrecognized arguments: --axis-convention per_pauli"),
+], ids=[f"argv{i}" for i in range(10)])
+def test_flag_the_sweep_kind_does_not_read_exits_1(capsys, argv, message):
+    # a flag that no kind of sweep reads is not a sweep flag at all
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "error" in err and "does not read" in err
+    assert "error" in err and message in err
+
+
+# A value away from the default for each sweep flag that takes one.
+_SWEEP_FLAG_VALUE = {
+    "snr_grid_db": "4", "p_eq_list": "0.1", "bypass_ber": "0.1", "eve": "swap:0.5",
+    "zeta": "3", "p0": "2", "d": "2", "block_length": "40", "iterations": "2",
+}
+
+
+def test_every_sweep_flag_sets_a_field_a_sweep_kind_reads(monkeypatch):
+    """A sweep flag is a run flag, or some kind of sweep reads what it sets."""
+    monkeypatch.delenv("QTSIM_THREADS", raising=False)
+    kinds = ("classical_ber", "qber_vs_snr", "teleport_demo")
+    run_flags = {"help", "config", "seed", "out", "threads", "timing", "kind", "trials"}
+    unread = []
+    for action in build_parser().commands["sweep"]._actions:
+        if action.dest in run_flags:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            token = flag
+        elif action.choices:
+            token = f"{flag}={next(c for c in action.choices if c != action.default)}"
+        else:
+            token = f"{flag}={_SWEEP_FLAG_VALUE[action.dest]}"
+        specs = []
+        for kind in kinds:
+            try:
+                specs.append((kind, _sweep_spec(parse_command(
+                    build_parser(), ["sweep", "--kind", kind, "--trials", "1000", token]))))
+            except ValueError:  # the kind does not read the field
+                continue
+        if all(spec == SweepSpec(kind, trials_per_point=1000) for kind, spec in specs):
+            unread.append(flag)
+    assert unread == []
+    sweep = build_parser().commands["sweep"]
+    assert next(a for a in sweep._actions if a.dest == "kind").choices == kinds
 
 
 def test_qsdc_has_no_coherence_flag(capsys):
@@ -1014,11 +1099,14 @@ def test_spec_names_every_field_its_kind_does_not_read():
                   eve=parse_eve("boost:0.2"), use_turbo=False)
     # a field left at its default is not an input, whatever the kind
     SweepSpec("shor_curve", snr_grid_db=[math.inf], turbo=TurboConfig(), use_shor=False)
+    # each kind's default count is the default of its one command
+    commands = {"shor_curve": ["shor-curve"], "qsdc_batch": ["qsdc"]}
     for kind, reads in sweeps_mod.SWEEP_KIND_READS.items():
         assert set(reads.fields) <= {f.name for f in dataclasses.fields(SweepSpec)}
-        assert build_parser().parse_args(["sweep", "--kind", kind]).trials is None
-        assert _sweep_spec(parse_command(build_parser(), ["sweep", "--kind", kind])) \
-            .trials_per_point == reads.trials
+        argv = commands.get(kind, ["sweep", "--kind", kind])
+        spec = _sweep_spec(parse_command(build_parser(), argv))
+        assert (spec.sweep_kind, spec.trials_per_point) == (kind, reads.trials)
+    assert [sweeps_mod.SWEEP_KIND_READS[kind].trials for kind in commands] == [1_000_000, 1]
 
 
 # ---------------------------------------------------------------------------
