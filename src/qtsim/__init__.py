@@ -47,7 +47,6 @@ from .qchannel import (
     sample_pauli,
 )
 from .cchannel import (
-    LlrFrame,
     ReceivedFrame,
     RicianParams,
     SymbolFrame,
@@ -57,7 +56,6 @@ from .cchannel import (
     transmit,
 )
 from .turbo import (
-    CodedFrame,
     TurboConfig,
     interleave,
     turbo_decode,

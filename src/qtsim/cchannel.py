@@ -18,6 +18,10 @@ constellation) and the average channel gain folded in.  Each QPSK branch
 Demodulation assumes perfect channel state information: matched filtering
 by conj(H) followed by per-branch Gaussian LLRs.  LLR sign convention:
 positive means bit 0 is more likely.
+
+Each stage hands the next one value: ``qpsk_modulate`` a ``SymbolFrame``
+(symbols and Es/N0), ``transmit`` a ``ReceivedFrame`` (samples, CSI and N0),
+and ``qpsk_demodulate_soft`` a plain array of one LLR per bit.
 """
 from __future__ import annotations
 
@@ -72,19 +76,14 @@ class SymbolFrame:
 class ReceivedFrame:
     """Channel output: received samples, realized fading, and noise variance.
 
-    ``noise_var`` is the complex noise variance N0 (per-component N0/2).
+    The demodulator's one input.  ``csi`` holds the fading coefficient of
+    each sample; ``noise_var`` is the complex noise variance N0
+    (per-component N0/2).
     """
 
     symbols: np.ndarray
     csi: np.ndarray
     noise_var: float
-
-
-@dataclass(frozen=True)
-class LlrFrame:
-    """Per-bit log-likelihood ratios; positive favors bit 0."""
-
-    llrs: np.ndarray
 
 
 def qpsk_modulate(bits, snr_db: float = math.inf) -> SymbolFrame:
@@ -112,6 +111,8 @@ def fading_coefficient(params: RicianParams, rng) -> complex:
     return complex(fading_coefficients(params, rng, 1)[0])
 
 
+# transmit's fading modes: one H per symbol, or one H held for the frame.
+COHERENCE_MODES = ("per_symbol", "per_frame")
 # Es/N0 beyond this many dB either way is refused (see noise_variance).
 SNR_DB_LIMIT = 3000.0
 # Largest mean gain p0/d^2, so that |H|^2 has the same headroom as the LLRs.
@@ -184,22 +185,13 @@ def transmit(
     return ReceivedFrame(y, h, noise_var)
 
 
-def qpsk_demodulate_soft(received, csi=None, noise_var: float | None = None) -> LlrFrame:
+def qpsk_demodulate_soft(received: ReceivedFrame) -> np.ndarray:
     """Coherent per-bit LLRs from matched filtering with known CSI.
 
-    Accepts a ReceivedFrame (csi/noise_var taken from it) or a raw symbol
-    array plus explicit csi and noise_var.  Output order matches the
-    modulator: [b0 of symbol 0, b1 of symbol 0, b0 of symbol 1, ...].
+    Returns one LLR per bit in the modulator's order: [b0 of symbol 0, b1 of
+    symbol 0, b0 of symbol 1, ...].  Positive favors bit 0.
     """
-    if isinstance(received, ReceivedFrame):
-        symbols = received.symbols
-        csi = received.csi if csi is None else np.asarray(csi)
-        noise_var = received.noise_var if noise_var is None else noise_var
-    else:
-        symbols = np.asarray(received, dtype=complex)
-        if csi is None or noise_var is None:
-            raise ValueError("raw-symbol demodulation needs csi and noise_var")
-        csi = np.asarray(csi)
+    symbols, csi, noise_var = received.symbols, received.csi, received.noise_var
     if csi.shape != symbols.shape:
         raise ValueError(f"csi length {csi.size} != symbol count {symbols.size}")
     # The noiseless link (N0 = 0) divides by a floor instead, so its LLRs are
@@ -210,10 +202,9 @@ def qpsk_demodulate_soft(received, csi=None, noise_var: float | None = None) -> 
     llrs = np.empty(2 * symbols.size)
     llrs[0::2] = scale * z.real
     llrs[1::2] = scale * z.imag
-    return LlrFrame(llrs)
+    return llrs
 
 
-def llrs_to_bits(llrs) -> np.ndarray:
+def llrs_to_bits(llrs: np.ndarray) -> np.ndarray:
     """Hard decisions from LLRs (positive -> 0)."""
-    arr = llrs.llrs if isinstance(llrs, LlrFrame) else np.asarray(llrs)
-    return (arr < 0).astype(np.int8)
+    return (llrs < 0).astype(np.int8)

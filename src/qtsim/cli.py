@@ -34,8 +34,9 @@ import sys
 
 import numpy as np
 
-from .cchannel import RicianParams
+from .cchannel import COHERENCE_MODES, RicianParams
 from .qchannel import DepolarizingParams, EveModel, NO_EVE, sample_pauli_flags
+from .shor import AXIS_CONVENTIONS
 from .sweeps import SWEEP_KIND_READS, SweepSpec, render_csv, run_sweep
 from .teleport import is_inexact, teleport_fidelity
 from .turbo import TurboConfig
@@ -163,8 +164,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--p-eq", dest="p_eq_list", type=_floats, default=(0.0,),
                          help="comma list of total channel error probabilities P_eq")
     p_sweep.add_argument("--use-shor", action="store_true")
-    p_sweep.add_argument("--coherence", choices=("per_symbol", "per_frame"),
-                         default="per_symbol")
+    p_sweep.add_argument("--coherence", choices=COHERENCE_MODES, default="per_symbol")
     _add_bypass_flag(p_sweep)
 
     p_qsdc = sub.add_parser("qsdc", help="run protocol sessions")
@@ -196,7 +196,7 @@ def build_parser() -> _Parser:
     p_shor.add_argument("--p-eq", dest="p_eq_list", type=_floats,
                         default=(0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.105, 0.15, 0.2),
                         help="comma list of channel error probabilities")
-    p_shor.add_argument("--axis-convention", choices=("total", "per_pauli"), default="total",
+    p_shor.add_argument("--axis-convention", choices=AXIS_CONVENTIONS, default="total",
                         help="reading of --p-eq: total P_eq or per-Pauli p_e")
 
     sub.add_parser("selftest", help="fast invariant suite")

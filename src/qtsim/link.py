@@ -2,8 +2,10 @@
 
 Shared by the protocol orchestrator and the sweep engine.  Bits are padded
 to whole turbo blocks with zeros (dropped again after decoding); the uncoded
-path hard-slices matched-filter LLRs.  ``bypass_ber`` replaces the physical
-chain with i.i.d. bit flips, which isolates quantum-side behavior in tests.
+path hard-slices matched-filter LLRs.  A frame of odd length, coded or
+not, gets one zero pad bit for QPSK, whose LLR is dropped before slicing or
+decoding.  ``bypass_ber`` replaces the physical chain with i.i.d. bit flips,
+which isolates quantum-side behavior in tests.
 A noiseless link (``snr_db=inf``) returns its input without running the
 chain, which would return it too; the fading draws it skips are the rng's
 last use in every caller (``tests/test_link.py`` pins this).
@@ -21,7 +23,7 @@ from .cchannel import (
     qpsk_modulate,
     transmit,
 )
-from .turbo import TurboConfig, coded_block_bits, turbo_decode_batch, turbo_encode_batch
+from .turbo import TurboConfig, turbo_decode_batch, turbo_encode_batch
 
 
 def send_bits(
@@ -44,18 +46,27 @@ def send_bits(
     if snr_db == math.inf:
         return bits.copy()
     if turbo_cfg is None:
-        padded = bits if bits.size % 2 == 0 else np.append(bits, np.int8(0))
-        received = transmit(qpsk_modulate(padded, snr_db), rician, rng, coherence)
-        return llrs_to_bits(qpsk_demodulate_soft(received))[: bits.size]
+        return llrs_to_bits(_channel_llrs(bits, rng, snr_db, rician, coherence))
     k = turbo_cfg.block_length
     n_blocks = max(1, math.ceil(bits.size / k))
     padded = np.zeros(n_blocks * k, dtype=np.int8)
     padded[: bits.size] = bits
     coded = turbo_encode_batch(padded.reshape(n_blocks, k), turbo_cfg).reshape(-1)
-    # No name here holds the received frame or its LLRs, so the decoder's
-    # working set does not sit beside them: turbo_decode_batch frees the
-    # LLRs once it has copied the streams it reads.
-    decoded = turbo_decode_batch(qpsk_demodulate_soft(
-        transmit(qpsk_modulate(coded, snr_db), rician, rng, coherence)
-    ).llrs.reshape(n_blocks, coded_block_bits(turbo_cfg)), turbo_cfg).reshape(-1)
+    # No name here holds the LLRs, so the decoder's working set does not sit
+    # beside them: turbo_decode_batch frees them once it has copied the
+    # streams it reads.
+    decoded = turbo_decode_batch(
+        _channel_llrs(coded, rng, snr_db, rician, coherence).reshape(n_blocks, -1), turbo_cfg
+    ).reshape(-1)
     return decoded[: bits.size].astype(np.int8)
+
+
+def _channel_llrs(bits, rng, snr_db, rician, coherence) -> np.ndarray:
+    """One LLR per bit of ``bits`` after QPSK over the Rician link.
+
+    QPSK carries two bits per symbol, so an odd count, coded or not, is sent
+    with one zero bit appended, whose LLR is dropped here.
+    """
+    padded = np.append(bits, np.int8(0)) if bits.size % 2 else bits
+    received = transmit(qpsk_modulate(padded, snr_db), rician, rng, coherence)
+    return qpsk_demodulate_soft(received)[: bits.size]

@@ -140,14 +140,14 @@ def _checks():
     def turbo_roundtrip():
         cfg = TurboConfig(block_length=256, iterations=4)
         info = rng.integers(0, 2, size=256, dtype=np.int8)
-        bits = turbo_encode(info, cfg).to_bits()
+        bits = turbo_encode(info, cfg)
         llrs = 20.0 * (1.0 - 2.0 * bits.astype(float))
         return bool(np.array_equal(turbo_decode(llrs, cfg), info))
 
     def windowed_log_map():
         # one noisy block: the window-parallel pass against the sequential one
         cfg = TurboConfig(block_length=256)
-        bits = turbo_encode(rng.integers(0, 2, size=256, dtype=np.int8), cfg).to_bits()
+        bits = turbo_encode(rng.integers(0, 2, size=256, dtype=np.int8), cfg)
         llrs = 2.0 * (1.0 - 2.0 * bits) + rng.normal(0.0, 2.0, size=bits.size)
         l_sys, l_par, _, tail_sys, tail_par = split_llrs(llrs, cfg)
         l_sys = np.concatenate([l_sys, tail_sys], axis=1)

@@ -294,6 +294,10 @@ def exact_logical_rate(params: DepolarizingParams) -> float:
     return float(prob[_failing_identity_counts()].sum())
 
 
+# axis_params' readings of a decoded-error-curve axis value
+AXIS_CONVENTIONS = ("total", "per_pauli")
+
+
 def axis_params(p_axis: float, convention: str = "total") -> DepolarizingParams:
     """Map a decoded-error-curve x-axis value onto channel parameters.
 

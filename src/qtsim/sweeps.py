@@ -44,13 +44,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cchannel import RicianParams, noise_variance
+from .cchannel import COHERENCE_MODES, RicianParams, noise_variance
 from .link import send_bits
 from .metrics import MetricAccumulator
 from .qchannel import DepolarizingParams, EveModel, NO_EVE
 from .qsdc import QsdcConfig, QsdcReport, resolve_threshold, run_session
 from .qstate import random_state
-from .shor import axis_params, exact_logical_rate, pauli_frame_batch, transit_flags
+from .shor import (
+    AXIS_CONVENTIONS, axis_params, exact_logical_rate, pauli_frame_batch, transit_flags,
+)
 from .teleport import DEFAULT_TEST_STATE, teleport_frames
 from .turbo import TurboConfig
 
@@ -154,6 +156,10 @@ class SweepSpec:
             raise ValueError("threads must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.coherence not in COHERENCE_MODES:
+            raise ValueError(f"unknown coherence mode {self.coherence!r}")
+        if self.axis_convention not in AXIS_CONVENTIONS:
+            raise ValueError(f"unknown axis convention {self.axis_convention!r}")
         object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
         object.__setattr__(self, "p_eq_list", tuple(float(p) for p in self.p_eq_list))
         for snr_db in self.snr_grid_db:

@@ -6,11 +6,12 @@ Encoder 1 runs on natural-order bits and is terminated to the zero state
 with 3 tail steps; encoder 2 runs on pseudorandomly interleaved bits and is
 left unterminated.
 
-Frame layout (bit-exact, ``CodedFrame.to_bits`` / ``split_llrs``):
+Frame layout (bit-exact; ``turbo_encode_batch`` writes it and ``split_llrs``
+reads it, and ``turbo_encode`` returns one row of it):
 
     systematic[K] || parity1[K] || parity2[K] || tail_sys[3] || tail_par1[3]
 
-so a block carries exactly 3*K + 6 channel bits.
+so a block carries exactly 3*K + 6 channel bits, one plain int8 array.
 
 Decoding is iterative BCJR with extrinsic exchange between the two
 constituent decoders.  LLR convention throughout: positive favors bit 0.
@@ -109,33 +110,16 @@ class TurboConfig:
             raise ValueError("iterations must be >= 1")
         if self.decoder not in ("log_map", "max_log_map"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
-
-
-@dataclass(frozen=True)
-class CodedFrame:
-    """One encoded block; all streams are 0/1 int8 arrays."""
-
-    systematic: np.ndarray
-    parity1: np.ndarray
-    parity2: np.ndarray
-    tail_systematic: np.ndarray
-    tail_parity1: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return int(self.systematic.size)
-
-    def to_bits(self) -> np.ndarray:
-        """Serialize to the documented channel layout."""
-        return np.concatenate(
-            [
-                self.systematic,
-                self.parity1,
-                self.parity2,
-                self.tail_systematic,
-                self.tail_parity1,
-            ]
-        )
+        # The trellis reads the feedforward taps over the feedback's bits,
+        # so a longer feedforward would lose its top taps without a word.
+        feedback, feedforward = self.generators
+        if feedback < 2 or not 0 < feedforward < 1 << feedback.bit_length():
+            raise ValueError(
+                f"generators need feedback >= 2 and 0 < feedforward with no more "
+                f"bits than the feedback, got {self.generators}"
+            )
+        if self.interleaver_seed < 0:
+            raise ValueError(f"interleaver_seed must be >= 0, got {self.interleaver_seed}")
 
 
 class RscTrellis:
@@ -147,8 +131,6 @@ class RscTrellis:
         self.n_states = 1 << self.memory
         fb = [(feedback >> (length - 1 - i)) & 1 for i in range(length)]
         ff = [(feedforward >> (length - 1 - i)) & 1 for i in range(length)]
-        if fb[0] != 1:
-            raise ValueError("feedback polynomial must have a leading 1")
 
         self.next_state = np.zeros((2, self.n_states), dtype=np.int64)
         self.parity = np.zeros((2, self.n_states), dtype=np.int8)
@@ -265,17 +247,6 @@ def _encode_streams(info: np.ndarray, cfg: TurboConfig):
     return info, parity1, parity2, tail_in, tail_par1
 
 
-def turbo_encode(info, cfg: TurboConfig) -> CodedFrame:
-    """Encode one block of ``cfg.block_length`` info bits."""
-    info = np.asarray(info, dtype=np.int8)
-    if info.size != cfg.block_length:
-        raise ValueError(
-            f"expected {cfg.block_length} info bits, got {info.size}"
-        )
-    streams = _encode_streams(info.reshape(1, -1), cfg)
-    return CodedFrame(*(stream[0].copy() for stream in streams))
-
-
 def turbo_encode_batch(info, cfg: TurboConfig) -> np.ndarray:
     """Encode a (B, K) batch of blocks to (B, 3K+6) bits in frame layout."""
     info = np.asarray(info, dtype=np.int8)
@@ -284,6 +255,11 @@ def turbo_encode_batch(info, cfg: TurboConfig) -> np.ndarray:
             f"expected (B, {cfg.block_length}) info bits, got shape {info.shape}"
         )
     return np.concatenate(_encode_streams(info, cfg), axis=1)
+
+
+def turbo_encode(info, cfg: TurboConfig) -> np.ndarray:
+    """Encode one block of ``cfg.block_length`` info bits to 3K+6 bits in frame layout."""
+    return turbo_encode_batch(np.asarray(info)[None], cfg)[0]
 
 
 def coded_block_bits(cfg: TurboConfig) -> int:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qtsim.cchannel import (
-    LlrFrame,
+    ReceivedFrame,
     RicianParams,
     fading_coefficient,
     fading_coefficients,
@@ -50,7 +50,7 @@ def test_odd_bit_count_rejected():
 def test_modulate_demodulate_roundtrip_all_pairs():
     for bits in ([0, 0], [0, 1], [1, 0], [1, 1]):
         frame = qpsk_modulate(bits, math.inf)
-        llrs = qpsk_demodulate_soft(frame.symbols, np.ones(1), 1e-12)
+        llrs = qpsk_demodulate_soft(ReceivedFrame(frame.symbols, np.ones(1), 1e-12))
         assert np.array_equal(llrs_to_bits(llrs), bits)
 
 
@@ -206,9 +206,7 @@ def test_ber_monotone_in_snr():
 # ---------------------------------------------------------------------------
 
 def test_llr_signs_on_clean_symbol():
-    llrs = qpsk_demodulate_soft(
-        np.array([(1 + 1j) / SQRT2]), np.ones(1), 0.5
-    ).llrs
+    llrs = qpsk_demodulate_soft(ReceivedFrame(np.array([(1 + 1j) / SQRT2]), np.ones(1), 0.5))
     assert llrs[0] > 0 and llrs[1] > 0
 
 
@@ -216,8 +214,8 @@ def test_llr_scaling_with_noise_variance():
     rng = np.random.default_rng(50)
     symbols = qpsk_modulate(rng.integers(0, 2, size=200)).symbols
     csi = np.ones_like(symbols)
-    base = qpsk_demodulate_soft(symbols, csi, 0.5).llrs
-    doubled = qpsk_demodulate_soft(symbols, csi, 1.0).llrs
+    base = qpsk_demodulate_soft(ReceivedFrame(symbols, csi, 0.5))
+    doubled = qpsk_demodulate_soft(ReceivedFrame(symbols, csi, 1.0))
     assert np.allclose(doubled, base / 2.0)
     assert np.all(np.sign(doubled) == np.sign(base))
 
@@ -237,7 +235,7 @@ def test_hard_slicing_matches_min_distance_decisions():
 
 def test_csi_length_mismatch():
     with pytest.raises(ValueError):
-        qpsk_demodulate_soft(np.ones(4, dtype=complex), np.ones(3), 0.1)
+        qpsk_demodulate_soft(ReceivedFrame(np.ones(4, dtype=complex), np.ones(3), 0.1))
 
 
 def test_llr_frame_length():
@@ -245,5 +243,5 @@ def test_llr_frame_length():
     bits = rng.integers(0, 2, size=64)
     received = transmit(qpsk_modulate(bits, 10.0), RicianParams(), rng)
     llrs = qpsk_demodulate_soft(received)
-    assert isinstance(llrs, LlrFrame)
-    assert llrs.llrs.size == 2 * received.symbols.size
+    assert isinstance(llrs, np.ndarray)
+    assert llrs.shape == (2 * received.symbols.size,)

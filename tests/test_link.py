@@ -1,4 +1,4 @@
-"""Classical link: the noiseless bypass and the rng draws it skips."""
+"""Classical link: the noiseless bypass, the rng draws it skips, and odd frames."""
 import math
 
 import numpy as np
@@ -27,6 +27,25 @@ def test_noiseless_link_still_applies_bypass_flips():
     out = send_bits(bits, np.random.default_rng(82), snr_db=math.inf, rician=RicianParams(),
                     turbo_cfg=TurboConfig(), bypass_ber=0.25)
     assert 800 < np.count_nonzero(out) < 1200
+
+
+def test_odd_block_length_runs_coded_points_and_sessions():
+    # K = 41 makes a block 3 * 41 + 6 = 129 coded bits, so an odd number of
+    # blocks is an odd frame, which QPSK carries with one pad bit as it does
+    # an odd uncoded frame
+    turbo = TurboConfig(block_length=41)
+    ber_rows = run_sweep(SweepSpec("classical_ber", snr_grid_db=(0.0, 4.0),
+                                   trials_per_point=1025, seed=1, turbo=turbo))
+    rows = ber_rows + run_sweep(SweepSpec(
+        "qber_vs_snr", snr_grid_db=(0.0,), p_eq_list=(0.01,), trials_per_point=1000, seed=1,
+        turbo=turbo,
+    )) + run_sweep(SweepSpec(
+        "qsdc_batch", snr_grid_db=(0.0,), p_eq_list=(0.005,), trials_per_point=2, seed=1,
+        turbo=turbo, use_shor=True, payload_per_session=16,
+    ))
+    assert [row["error"] for row in rows] == [""] * len(rows)
+    ber = {row["variant"]: row["ber"] for row in ber_rows if row["snr_db"] == 4.0}
+    assert ber["turbo"] <= ber["uncoded"]
 
 
 def _draw_after_send_bits(monkeypatch, *modules):

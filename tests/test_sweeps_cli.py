@@ -976,6 +976,16 @@ def test_bad_env_threads_exits_1(monkeypatch, capsys, value):
     assert "threads" in capsys.readouterr().err
 
 
+def test_spec_refuses_unknown_modes():
+    # each would otherwise write the same ValueError in every row
+    with pytest.raises(ValueError, match="coherence"):
+        SweepSpec(sweep_kind="classical_ber", coherence="bogus")
+    with pytest.raises(ValueError, match="axis convention"):
+        SweepSpec(sweep_kind="shor_curve", axis_convention="bogus")
+    SweepSpec(sweep_kind="qber_vs_snr", coherence="per_frame")
+    SweepSpec(sweep_kind="shor_curve", axis_convention="per_pauli")
+
+
 def test_spec_rejects_input_it_would_drop():
     with pytest.raises(ValueError, match="one snr_db and one p_eq"):
         SweepSpec(sweep_kind="qsdc_batch", p_eq_list=(0.1, 0.2))

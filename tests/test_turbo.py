@@ -15,7 +15,6 @@ from qtsim.cchannel import RicianParams, qpsk_demodulate_soft, qpsk_modulate, tr
 from qtsim.link import send_bits
 from qtsim.turbo import (
     LOG_MAP_CLIP,
-    CodedFrame,
     RscTrellis,
     TurboConfig,
     _advance,
@@ -35,6 +34,7 @@ from qtsim.turbo import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+_GENERATORS = [(0o13, 0o15), (0o13, 0o16), (0o7, 0o5), (0o23, 0o35)]
 
 
 def reference_rsc_encode(bits, feedback=0o13, feedforward=0o15):
@@ -75,7 +75,7 @@ def awgn_llrs(coded_bits, ebn0_db, rng, rate):
 def test_zero_word_encodes_to_zero():
     cfg = TurboConfig(block_length=64)
     frame = turbo_encode(np.zeros(64, dtype=np.int8), cfg)
-    assert not frame.to_bits().any()
+    assert not frame.any()
 
 
 def test_trellis_matches_reference_encoder():
@@ -113,7 +113,7 @@ def test_batched_turbo_encode_matches_single_blocks():
     coded = turbo_encode_batch(infos, cfg)
     assert coded.shape == (9, coded_block_bits(cfg)) and coded.dtype == np.int8
     for info, row in zip(infos, coded):
-        assert np.array_equal(row, turbo_encode(info, cfg).to_bits())
+        assert np.array_equal(row, turbo_encode(info, cfg))
     with pytest.raises(ValueError):
         turbo_encode_batch(infos[:, :100], cfg)
 
@@ -133,15 +133,15 @@ def test_golden_vectors():
             interleaver_seed=vec["interleaver_seed"],
         )
         frame = turbo_encode(np.array(vec["info"], dtype=np.int8), cfg)
-        assert frame.to_bits().tolist() == vec["coded"]
+        assert frame.tolist() == vec["coded"]
 
 
 def test_rate_accounting_exact():
     cfg = TurboConfig(block_length=1024)
     frame = turbo_encode(np.zeros(1024, dtype=np.int8), cfg)
-    assert frame.to_bits().size == 3 * 1024 + 6
+    assert frame.size == 3 * 1024 + 6
     assert coded_block_bits(cfg) == 3078
-    assert frame.length == 1024
+    assert split_llrs(frame, cfg)[0].shape == (1, 1024)
 
 
 def test_single_bit_has_long_impulse_response():
@@ -151,7 +151,7 @@ def test_single_bit_has_long_impulse_response():
         info = np.zeros(256, dtype=np.int8)
         info[pos] = 1
         frame = turbo_encode(info, cfg)
-        nz = np.nonzero(frame.parity1)[0]
+        nz = np.nonzero(frame[256:512])[0]  # parity1
         assert nz.size > 0 and nz[0] >= pos
         # feedback 13 (octal) has period 7: parity keeps toggling until the tail
         assert nz[-1] > 256 - 8
@@ -160,8 +160,8 @@ def test_single_bit_has_long_impulse_response():
 def test_encode_is_deterministic():
     cfg = TurboConfig(block_length=128)
     info = np.random.default_rng(61).integers(0, 2, size=128, dtype=np.int8)
-    a = turbo_encode(info, cfg).to_bits()
-    b = turbo_encode(info, cfg).to_bits()
+    a = turbo_encode(info, cfg)
+    b = turbo_encode(info, cfg)
     assert np.array_equal(a, b)
 
 
@@ -177,6 +177,28 @@ def test_config_validation():
         TurboConfig(iterations=0)
     with pytest.raises(ValueError):
         TurboConfig(decoder="viterbi")
+
+
+@pytest.mark.parametrize("generators", _GENERATORS)
+def test_turbo_encode_is_one_row_of_the_batch_encoder(generators):
+    cfg = TurboConfig(block_length=100, generators=generators)
+    info = np.random.default_rng(85).integers(0, 2, size=100, dtype=np.int8)
+    frame = turbo_encode(info, cfg)
+    assert isinstance(frame, np.ndarray) and frame.dtype == np.int8
+    assert frame.shape == (coded_block_bits(cfg),)
+    assert np.array_equal(frame, turbo_encode_batch(info[None], cfg)[0])
+
+
+def test_config_refuses_codes_the_trellis_cannot_run():
+    for generators in (*_GENERATORS, TurboConfig().generators):
+        turbo_encode(np.zeros(40, dtype=np.int8), TurboConfig(40, generators))
+    # (0o13, 0o37) encoded as (0o13, 0o17): the trellis reads the feedforward
+    # taps over the feedback's 4 bits; the others failed in every sweep point
+    for generators in ((0o13, 0o37), (1, 1), (0, 0o15), (0o13, 0), (0o13, -0o15)):
+        with pytest.raises(ValueError, match="generators"):
+            TurboConfig(generators=generators)
+    with pytest.raises(ValueError, match="interleaver_seed"):
+        TurboConfig(interleaver_seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +229,7 @@ def test_noiseless_decode_recovers_info():
     cfg = TurboConfig(block_length=256, iterations=4)
     rng = np.random.default_rng(63)
     info = rng.integers(0, 2, size=256, dtype=np.int8)
-    bits = turbo_encode(info, cfg).to_bits()
+    bits = turbo_encode(info, cfg)
     llrs = 30.0 * (1.0 - 2.0 * bits.astype(float))
     assert np.array_equal(turbo_decode(llrs, cfg), info)
 
@@ -216,7 +238,7 @@ def test_max_log_map_decoder_also_recovers():
     cfg = TurboConfig(block_length=256, iterations=4, decoder="max_log_map")
     rng = np.random.default_rng(64)
     info = rng.integers(0, 2, size=256, dtype=np.int8)
-    bits = turbo_encode(info, cfg).to_bits()
+    bits = turbo_encode(info, cfg)
     llrs = 30.0 * (1.0 - 2.0 * bits.astype(float))
     assert np.array_equal(turbo_decode(llrs, cfg), info)
 
@@ -238,7 +260,7 @@ def _run_awgn(cfg, ebn0_db, n_blocks, seed):
     rng = np.random.default_rng(seed)
     rate = cfg.block_length / coded_block_bits(cfg)
     infos = rng.integers(0, 2, size=(n_blocks, cfg.block_length), dtype=np.int8)
-    coded = np.stack([turbo_encode(infos[i], cfg).to_bits() for i in range(n_blocks)])
+    coded = np.stack([turbo_encode(infos[i], cfg) for i in range(n_blocks)])
     llrs = awgn_llrs(coded.astype(float), ebn0_db, rng, rate)
     decoded = turbo_decode_batch(llrs, cfg)
     return int(np.count_nonzero(decoded != infos)), infos.size
@@ -264,7 +286,7 @@ def test_iteration_trace_ber_non_increasing():
     rate = cfg.block_length / coded_block_bits(cfg)
     n_blocks = 100
     infos = rng.integers(0, 2, size=(n_blocks, cfg.block_length), dtype=np.int8)
-    coded = np.stack([turbo_encode(infos[i], cfg).to_bits() for i in range(n_blocks)])
+    coded = np.stack([turbo_encode(infos[i], cfg) for i in range(n_blocks)])
     llrs = awgn_llrs(coded.astype(float), 0.5, rng, rate)
     trace = turbo_decode_batch(llrs, cfg, iteration_trace=True)
     bers = [np.count_nonzero(step != infos) / infos.size for step in trace]
@@ -290,7 +312,7 @@ def _rician_corpus(snr_db, n_blocks=128, seed=70):
     infos = rng.integers(0, 2, size=(n_blocks, cfg.block_length), dtype=np.int8)
     coded = turbo_encode_batch(infos, cfg).reshape(-1)
     received = transmit(qpsk_modulate(coded, snr_db), RicianParams(), rng)
-    return infos, qpsk_demodulate_soft(received).llrs.reshape(n_blocks, -1)
+    return infos, qpsk_demodulate_soft(received).reshape(n_blocks, -1)
 
 
 @pytest.mark.parametrize("snr_db", [-1.5, -1.0, 0.0, 2.0, 4.0])
@@ -406,7 +428,7 @@ def test_single_block_decode_matches_batch():
 def test_saturated_frames_decode_without_fp_exceptions(magnitude):
     cfg = TurboConfig(block_length=256, iterations=4)
     info = np.random.default_rng(71).integers(0, 2, size=256, dtype=np.int8)
-    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg).to_bits())
+    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg))
     with np.errstate(all="raise"):
         assert np.array_equal(turbo_decode(llrs, cfg), info)
 
@@ -434,8 +456,6 @@ def test_noiseless_link_returns_input_exactly():
 # ---------------------------------------------------------------------------
 # window-parallel recursion against the one-window recursion
 # ---------------------------------------------------------------------------
-
-_GENERATORS = [(0o13, 0o15), (0o13, 0o16), (0o7, 0o5), (0o23, 0o35)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,7 +585,7 @@ def test_saturated_single_block_takes_windowed_branch(monkeypatch, magnitude):
     calls = _count_windowed_passes(monkeypatch)
     cfg = TurboConfig(block_length=256, iterations=4)
     info = np.random.default_rng(71).integers(0, 2, size=256, dtype=np.int8)
-    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg).to_bits())
+    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg))
     with np.errstate(all="raise"):
         assert np.array_equal(turbo_decode(llrs, cfg), info)
     # decoder 1's a-priori LLRs after iteration 2 of 4 equal those after
