@@ -3,7 +3,7 @@
 Subcommands:
 
   sweep          run a link or teleport curve sweep (classical_ber /
-                 qber_vs_snr / teleport_demo) and emit CSV
+                 qber_vs_snr) and emit CSV
   qsdc           run protocol sessions (sweep kind qsdc_batch) and print a
                  summary report
   teleport-demo  teleport a handful of qubits and print fidelities (through
@@ -50,7 +50,7 @@ _TRUE = ("true", "1", "yes", "on")
 _FALSE = ("false", "0", "no", "off")
 _CONFIG_HELP = "key=value file of flag values, keyed by flag dest names"
 # the kinds of ``sweep``; shor_curve runs through shor-curve, qsdc_batch through qsdc
-_SWEEP_COMMAND_KINDS = ("classical_ber", "qber_vs_snr", "teleport_demo")
+_SWEEP_COMMAND_KINDS = ("classical_ber", "qber_vs_snr")
 _P_E_HELP = ("total channel error probability P_eq per qubit "
              "(X, Z and Y each with P_eq/3), not the per-Pauli p_e")
 
@@ -157,7 +157,7 @@ def build_parser() -> _Parser:
     _add_link_flags(p_sweep)
     p_sweep.add_argument("--kind", choices=_SWEEP_COMMAND_KINDS, default="qber_vs_snr")
     p_sweep.add_argument("--trials", type=int, default=None,
-                         help="per point (default: 1000 for teleport_demo, else 100000)")
+                         help="per point, >= 1000 (default: 100000)")
     p_sweep.add_argument("--snr-grid", dest="snr_grid_db", type=_floats, default=(math.inf,),
                          help="comma list of Es/N0 points in dB "
                               "(write --snr-grid=-2,0 when the list starts negative)")

@@ -1,9 +1,9 @@
 """Render sweep CSVs as curves: ``python -m qtsim.plotting out.csv [...]``.
 
-Thin, out-of-process viewer for the three standard figures: classical
-BER comparison, QBER-vs-SNR error floors, and the decoded-error curve.
-A CSV of any other kind (a ``qsdc`` session CSV) exits 1 before anything is
-drawn.  Needs matplotlib (``pip install qtsim[plot]``).
+Thin, out-of-process viewer for the figure of each drawable sweep kind:
+classical BER comparison, QBER-vs-SNR error floors (``qber_vs_snr``) and the
+decoded-error curve.  A CSV of any other kind (a ``qsdc`` session CSV) exits
+1 before anything is drawn.  Needs matplotlib (``pip install qtsim[plot]``).
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import csv
 import sys
 from collections import defaultdict
 
-_DRAWABLE_KINDS = ("classical_ber", "qber_vs_snr", "teleport_demo", "shor_curve")
+_DRAWABLE_KINDS = ("classical_ber", "qber_vs_snr", "shor_curve")
 
 
 def _load(path: str) -> list[dict]:
@@ -52,7 +52,7 @@ def _plot_rows(rows: list[dict], ax) -> None:
             ax.semilogy(*zip(*pts), marker="o", label=f"{variant} QPSK")
         ax.set_xlabel("Es/N0 [dB]")
         ax.set_ylabel("BER")
-    elif kind in ("qber_vs_snr", "teleport_demo"):
+    elif kind == "qber_vs_snr":
         by_p = defaultdict(list)
         for r in rows:
             by_p[r["p_eq"]].append((_f(r, "snr_db"), max(_f(r, "qber") or 0, 1e-12)))

@@ -184,8 +184,8 @@ def _checks():
 
     def sweep_determinism():
         spec = SweepSpec(
-            sweep_kind="teleport_demo", snr_grid_db=(math.inf,),
-            p_eq_list=(0.01,), trials_per_point=400, seed=11,
+            sweep_kind="qber_vs_snr", snr_grid_db=(math.inf,),
+            p_eq_list=(0.01,), trials_per_point=1000, seed=11,
         )
         a = render_csv(spec, run_sweep(spec))
         b = render_csv(spec, run_sweep(spec))

@@ -10,11 +10,11 @@ from (seed, kind, point indices, chunk index), and each point merges its
 results in chunk order.
 ``wall_ms`` is 0 unless timing is enabled, so default CSV output is
 byte-stable; with timing it is the summed run time of the point's chunks.
-``qber_vs_snr`` and ``teleport_demo`` trials teleport through
-``teleport.teleport_frames``, the kernel a session's payload goes through.
-On the command line each kind has one subcommand: ``qtsim sweep`` runs
-``classical_ber``, ``qber_vs_snr`` and ``teleport_demo``, ``qtsim
-shor-curve`` runs ``shor_curve`` and ``qtsim qsdc`` runs ``qsdc_batch``.
+``qber_vs_snr`` trials teleport through ``teleport.teleport_frames``, the
+kernel a session's payload goes through.  On the command line each kind
+has one subcommand: ``qtsim sweep`` runs ``classical_ber`` and
+``qber_vs_snr``, ``qtsim shor-curve`` runs ``shor_curve`` and ``qtsim
+qsdc`` runs ``qsdc_batch``.
 
 CSV schema (curve sweeps), one row per grid point:
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import time
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
@@ -64,18 +63,18 @@ class KindReads(NamedTuple):
 
 _RUN_FIELDS = ("sweep_kind", "trials_per_point", "seed", "output_path", "threads", "timing")
 _LINK_FIELDS = ("snr_grid_db", "rician", "coherence", "turbo", "use_turbo")
-_TELEPORT_FIELDS = (*_LINK_FIELDS, "p_eq_list", "use_shor", "classical_bypass_ber")
-# What each sweep kind reads; a spec that sets another field away from its
-# default is rejected.  The order fixes each kind's rng streams.
+# What each sweep kind reads; a spec that sets another field, or a link field
+# that its mode leaves unread, away from its default is rejected.  The order
+# fixes each kind's rng streams.
 SWEEP_KIND_READS = {
     "classical_ber": KindReads(100_000, _LINK_FIELDS),
-    "qber_vs_snr": KindReads(100_000, _TELEPORT_FIELDS),
+    "qber_vs_snr": KindReads(
+        100_000, (*_LINK_FIELDS, "p_eq_list", "use_shor", "classical_bypass_ber")),
     "shor_curve": KindReads(1_000_000, ("p_eq_list", "axis_convention")),
     "qsdc_batch": KindReads(1, (
         "snr_grid_db", "p_eq_list", "rician", "turbo", "use_turbo", "use_shor", "eve",
         "classical_bypass_ber", "n_pairs", "m_virtual", "threshold", "payload_per_session",
     )),
-    "teleport_demo": KindReads(1000, _TELEPORT_FIELDS),
 }
 SWEEP_KINDS = tuple(SWEEP_KIND_READS)
 _KIND_CODE = {kind: i for i, kind in enumerate(SWEEP_KINDS)}
@@ -99,7 +98,9 @@ QBER_CHUNK_TRIALS = 1 << 16
 SHOR_CHUNK_TRIALS = 1 << 20
 SESSION_CHUNK = 8
 
-_STATISTICAL_KINDS = ("classical_ber", "qber_vs_snr", "shor_curve")
+# The process pool, imported by the first sweep that starts one (a serial sweep
+# leaves concurrent.futures.process unloaded); a name already set stays set.
+ProcessPoolExecutor = BrokenProcessPool = None
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ class SweepSpec:
             )
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
-        if self.sweep_kind in _STATISTICAL_KINDS and self.trials_per_point < 1000:
+        if self.sweep_kind != "qsdc_batch" and self.trials_per_point < 1000:
             raise ValueError(
                 f"{self.sweep_kind} needs >= 1000 trials per point for "
                 f"meaningful statistics, got {self.trials_per_point}"
@@ -168,13 +169,20 @@ class SweepSpec:
             raise ValueError(
                 f"classical_bypass_ber must lie in [0, 1], got {self.classical_bypass_ber}"
             )
-        reads = {*_RUN_FIELDS, *SWEEP_KIND_READS[self.sweep_kind].fields}
+        mode, skipped = "", set()  # the link fields that the mode leaves unread
+        if self.classical_bypass_ber is not None:  # bit flips in place of the link
+            mode, skipped = " with classical_bypass_ber", set(_LINK_FIELDS)
+        elif not self.use_turbo:
+            mode, skipped = " without use_turbo", {"turbo"}
+        reads = {*_RUN_FIELDS, *SWEEP_KIND_READS[self.sweep_kind].fields} - skipped
         unread = [
             f.name for f in fields(self) if f.name not in reads and getattr(self, f.name) != (
                 f.default_factory() if f.default is MISSING else f.default)
         ]
         if unread:
-            raise ValueError(f"sweep kind {self.sweep_kind} does not read {', '.join(unread)}")
+            mode = mode if skipped & set(unread) else ""
+            raise ValueError(
+                f"sweep kind {self.sweep_kind}{mode} does not read {', '.join(unread)}")
 
 
 def _chunk_jobs(total: int, chunk: int, *head) -> list[tuple]:
@@ -199,23 +207,6 @@ def _run_job(worker, job) -> tuple:
     return result, time.perf_counter() - t0
 
 
-def __getattr__(name: str):
-    """``ProcessPoolExecutor`` and ``BrokenProcessPool``, imported on first use.
-
-    A serial sweep never starts a pool, so ``import qtsim`` leaves
-    ``concurrent.futures.process`` unloaded.  A name already set (by a test's
-    patch, say) is never replaced.
-    """
-    if name not in ("ProcessPoolExecutor", "BrokenProcessPool"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    globals().setdefault("ProcessPoolExecutor", ProcessPoolExecutor)
-    globals().setdefault("BrokenProcessPool", BrokenProcessPool)
-    return globals()[name]
-
-
 def _run_chunks(spec: SweepSpec, worker, points: list[tuple]) -> list[tuple]:
     """The ``_run_job`` outcome of every job of every point, in job order."""
     run = partial(_run_job, worker)
@@ -225,8 +216,11 @@ def _run_chunks(spec: SweepSpec, worker, points: list[tuple]) -> list[tuple]:
     workers = min(spec.threads, n_tasks, os.cpu_count() or 1) if spec.threads > 1 else 1
     if workers <= 1:
         return list(map(run, jobs))
-    module = sys.modules[__name__]  # through __getattr__, which imports the pool
-    ProcessPoolExecutor, BrokenProcessPool = module.ProcessPoolExecutor, module.BrokenProcessPool
+    global ProcessPoolExecutor, BrokenProcessPool
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    if BrokenProcessPool is None:
+        from concurrent.futures.process import BrokenProcessPool
     outcomes, broken, stop, pool = [], False, 0, None
     with ExitStack() as pools:
         for _, point_jobs, _ in points:
@@ -272,7 +266,7 @@ def _classical_point(spec: SweepSpec, n_uncoded: int, row: dict, results: list) 
 
 
 # ---------------------------------------------------------------------------
-# qber_vs_snr / teleport_demo: teleportation with noisy pre-shared pairs
+# qber_vs_snr: teleportation with noisy pre-shared pairs
 # ---------------------------------------------------------------------------
 
 def _qber_chunk(job) -> tuple[int, int, int, int]:
@@ -418,7 +412,7 @@ def _points(spec: SweepSpec, trace: list[str] | None) -> tuple[Callable, list[tu
             job = (spec, cfg, sid, trace is not None)
             points.append(({**key_row, "session_id": sid}, [job], merge))
         return _session_chunk, points
-    for i_snr, snr_db in enumerate(spec.snr_grid_db):  # qber_vs_snr, teleport_demo
+    for i_snr, snr_db in enumerate(spec.snr_grid_db):  # qber_vs_snr
         for i_p, p_eq in enumerate(spec.p_eq_list):
             jobs = _chunk_jobs(trials, QBER_CHUNK_TRIALS, spec, snr_db, p_eq, i_snr, i_p)
             points.append((_key_row(spec, snr_db, p_eq), jobs, _qber_point))
@@ -436,10 +430,14 @@ def run_sweep(spec: SweepSpec, trace_path: str | None = None) -> list[dict]:
     error row.  With ``trace_path`` (qsdc_batch only), every measured pair
     of every session is written there as one line, in session order.  The
     output paths are opened before the first chunk runs, so one that cannot
-    be written raises SweepIOError before any work is done.
+    be written raises SweepIOError before any work is done; the two must be
+    different files.
     """
     if trace_path is not None and spec.sweep_kind != "qsdc_batch":
         raise ValueError("a pair trace needs sweep kind qsdc_batch")
+    if trace_path and spec.output_path and (
+            os.path.realpath(trace_path) == os.path.realpath(spec.output_path)):
+        raise ValueError(f"the trace and the CSV would both be written to {trace_path}")
     trace = None if trace_path is None else ["# session attempt kind pair bit_a bit_b ok\n"]
     worker, points = _points(spec, trace)
     with ExitStack() as files:

@@ -60,13 +60,13 @@ def _draw_after_send_bits(monkeypatch, *modules):
 
 
 _FINITE_SNR_SPECS = [
-    # teleport_frames, with the turbo link (2 blocks), the uncoded link and bit flips
+    # teleport_frames, with the turbo link (2 blocks), bit flips and the uncoded link
     SweepSpec("qber_vs_snr", snr_grid_db=(0.0,), p_eq_list=(0.05,), trials_per_point=1000,
               seed=3),
-    SweepSpec("teleport_demo", snr_grid_db=(2.0,), p_eq_list=(0.05,), trials_per_point=3000,
-              seed=4, use_turbo=False),
     SweepSpec("qber_vs_snr", p_eq_list=(0.05,), trials_per_point=2000, seed=5,
               classical_bypass_ber=0.1),
+    SweepSpec("qber_vs_snr", snr_grid_db=(2.0,), p_eq_list=(0.05,), trials_per_point=3000,
+              seed=4, use_turbo=False),
     # _ber_chunk, uncoded and coded
     SweepSpec("classical_ber", snr_grid_db=(-1.0,), trials_per_point=1500, seed=6),
 ]

@@ -278,7 +278,7 @@ def test_sessions_and_teleport_sweeps_run_no_state_vector_gate(monkeypatch):
         turbo=TurboConfig(block_length=40, iterations=1),
     )
     teleport = SweepSpec(
-        sweep_kind="teleport_demo", snr_grid_db=(0.0,), p_eq_list=(0.05,), trials_per_point=200,
+        sweep_kind="qber_vs_snr", snr_grid_db=(0.0,), p_eq_list=(0.05,), trials_per_point=1000,
         use_shor=True, turbo=TurboConfig(block_length=40, iterations=1),
     )
     for spec in (session, teleport):

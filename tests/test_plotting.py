@@ -92,3 +92,17 @@ def test_main_refuses_a_session_csv(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot plot sweep_kind qsdc_batch" in err and "shor_curve" in err
     assert "matplotlib" not in err and "Traceback" not in err
+
+
+def test_main_refuses_a_teleport_demo_csv(monkeypatch, tmp_path, capsys):
+    # qber_vs_snr is the one kind of the teleport curve; the old alias is undrawable
+    for name in ("matplotlib", "matplotlib.pyplot"):
+        monkeypatch.setitem(sys.modules, name, None)
+    qber = tmp_path / "qber.csv"
+    run_sweep(SweepSpec("qber_vs_snr", p_eq_list=(0.1,), trials_per_point=1000,
+                        output_path=str(qber)))
+    old = tmp_path / "teleport_demo.csv"
+    old.write_text(qber.read_text().replace("qber_vs_snr", "teleport_demo"))
+    assert main([str(old)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot plot sweep_kind teleport_demo" in err and "matplotlib" not in err

@@ -263,41 +263,53 @@ def test_classical_ber_bytes_identical_across_threads():
 
 _SNRS = st.lists(st.sampled_from([-1.0, 0.0, 3.0, math.inf]), min_size=1, max_size=2)
 _P_EQS = st.lists(st.sampled_from([0.0, 0.02, 0.1]), min_size=1, max_size=2)
-_LINK = {
-    "rician": st.builds(sweeps_mod.RicianParams, zeta=st.sampled_from([0.0, 10.0])),
-    "turbo": st.builds(TurboConfig, block_length=st.integers(40, 96),
-                       iterations=st.integers(1, 3),
-                       decoder=st.sampled_from(["log_map", "max_log_map"])),
-    "use_turbo": st.booleans(),
-}
-_TELEPORT = {
-    **_LINK, "snr_grid_db": _SNRS, "p_eq_list": _P_EQS, "use_shor": st.booleans(),
-    "coherence": st.sampled_from(["per_symbol", "per_frame"]),
-    "classical_bypass_ber": st.sampled_from([None, 0.05]),
-    "trials_per_point": st.integers(1000, 3000),
-}
+
+
+def _fields(*parts, **strategies):
+    """SweepSpec field dicts: a draw of each dict strategy in ``parts`` and of ``strategies``."""
+    return st.tuples(st.fixed_dictionaries(strategies), *parts).map(
+        lambda dicts: {name: value for d in dicts for name, value in d.items()})
+
+
+# The link fields; without use_turbo the turbo code is unread, so it keeps its default.
+_LINK = _fields(
+    st.one_of(
+        st.fixed_dictionaries({"turbo": st.builds(
+            TurboConfig, block_length=st.integers(40, 96), iterations=st.integers(1, 3),
+            decoder=st.sampled_from(["log_map", "max_log_map"]))}),
+        st.just({"use_turbo": False}),
+    ),
+    rician=st.builds(sweeps_mod.RicianParams, zeta=st.sampled_from([0.0, 10.0])),
+)
+_COHERENCE = st.sampled_from(["per_symbol", "per_frame"])
+# A teleport's bits cross the link over an SNR grid, or take i.i.d. flips in
+# its place, which leave every link field unread.
+_TELEPORT = _fields(
+    st.one_of(_fields(_LINK, snr_grid_db=_SNRS, coherence=_COHERENCE),
+              st.just({"classical_bypass_ber": 0.05})),
+    p_eq_list=_P_EQS, use_shor=st.booleans(), trials_per_point=st.integers(1000, 3000),
+)
 _N_PAIRS = st.shared(st.integers(0, 6), key="n_pairs")  # a payload fits in the pairs
 # Small specs of every kind, with the fields that kind reads.
 _SMALL_SPECS = {
-    "classical_ber": {
-        **_LINK, "snr_grid_db": _SNRS, "coherence": _TELEPORT["coherence"],
-        "trials_per_point": st.integers(1000, 3000),
-    },
+    "classical_ber": _fields(
+        _LINK, snr_grid_db=_SNRS, coherence=_COHERENCE,
+        trials_per_point=st.integers(1000, 3000),
+    ),
     "qber_vs_snr": _TELEPORT,
-    "teleport_demo": {**_TELEPORT, "trials_per_point": st.integers(1, 3000)},
-    "shor_curve": {
-        "p_eq_list": _P_EQS, "axis_convention": st.sampled_from(["total", "per_pauli"]),
-        "trials_per_point": st.integers(1000, 5000),
-    },
-    "qsdc_batch": {
-        **_LINK, "snr_grid_db": _SNRS.map(lambda s: s[:1]),
-        "p_eq_list": _P_EQS.map(lambda p: p[:1]),
-        "use_shor": st.booleans(), "trials_per_point": st.integers(1, 12),
-        "eve": st.sampled_from(["none", "swap:0.3", "boost:0.1"]).map(parse_eve),
-        "n_pairs": _N_PAIRS, "m_virtual": st.integers(20, 40),
-        "threshold": st.sampled_from([None, 0.5]),
-        "payload_per_session": _N_PAIRS.flatmap(lambda n: st.integers(0, n)),
-    },
+    "shor_curve": _fields(
+        p_eq_list=_P_EQS, axis_convention=st.sampled_from(["total", "per_pauli"]),
+        trials_per_point=st.integers(1000, 5000),
+    ),
+    "qsdc_batch": _fields(
+        _LINK, snr_grid_db=_SNRS.map(lambda s: s[:1]),
+        p_eq_list=_P_EQS.map(lambda p: p[:1]),
+        use_shor=st.booleans(), trials_per_point=st.integers(1, 12),
+        eve=st.sampled_from(["none", "swap:0.3", "boost:0.1"]).map(parse_eve),
+        n_pairs=_N_PAIRS, m_virtual=st.integers(20, 40),
+        threshold=st.sampled_from([None, 0.5]),
+        payload_per_session=_N_PAIRS.flatmap(lambda n: st.integers(0, n)),
+    ),
 }
 
 
@@ -311,7 +323,7 @@ def test_small_specs_are_bytes_identical_across_threads(kind, monkeypatch):
         monkeypatch.setattr(sweeps_mod, name, size)
 
     @settings(max_examples=6, deadline=None)  # each example starts pools
-    @given(st.fixed_dictionaries(_SMALL_SPECS[kind]), st.integers(0, 2**16))
+    @given(_SMALL_SPECS[kind], st.integers(0, 2**16))
     def check(values, seed):
         spec = SweepSpec(kind, seed=seed, **values)
         texts = [
@@ -353,8 +365,6 @@ _POOL_SPECS = [
                turbo=TurboConfig(block_length=64, iterations=1)), 12),
     (SweepSpec("qber_vs_snr", p_eq_list=(0.0, 0.1), trials_per_point=2000,
                use_turbo=False), 4),
-    (SweepSpec("teleport_demo", snr_grid_db=(2.0, math.inf), trials_per_point=1500,
-               turbo=TurboConfig(block_length=64, iterations=1)), 4),
     (SweepSpec("shor_curve", p_eq_list=(0.01, 0.1), trials_per_point=3000), 4),
     (SweepSpec("qsdc_batch", trials_per_point=5, n_pairs=4, m_virtual=20,
                payload_per_session=2), 3),
@@ -483,7 +493,7 @@ def test_cli_out_of_range_p_eq_exits_1(tmp_path, capsys):
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main([
-        "sweep", "--kind", "teleport_demo", "--trials", "50",
+        "sweep", "--kind", "qber_vs_snr", "--trials", "1000",
         "--out", str(missing),
     ])
     assert code == 2
@@ -523,6 +533,20 @@ def test_unwritable_output_exits_2_before_any_chunk_runs(tmp_path, capsys, monke
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("i/o error: ")
     assert ran == []
+
+
+@pytest.mark.parametrize("trace", ["same.txt", "./same.txt", "link.txt"],
+                         ids=["same", "dot_slash", "symlink"])
+def test_out_and_trace_at_one_file_exit_1_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                                            trace):
+    # written in turn, the CSV would keep the tail of the longer trace
+    monkeypatch.chdir(tmp_path)
+    os.symlink("same.txt", "link.txt")  # dangling: names the file --out would write
+    argv = ["qsdc", "--sessions", "2", "-m", "20", "--out", "same.txt", "--trace", trace]
+    assert main(argv) == 1
+    assert "both be written to" in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["link.txt"] and not os.path.exists("same.txt")
+    assert main(argv[:-2] + ["--trace", "trace.txt"]) == 0
 
 
 def test_qsdc_bypass_ber_writes_the_sweep_spec_bytes(tmp_path, capsys):
@@ -643,20 +667,20 @@ def test_timing_fills_wall_ms_through_the_pool(monkeypatch, spec):
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "demo.csv"
     code = main([
-        "sweep", "--kind", "teleport_demo", "--trials", "200", "--seed", "3",
+        "sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--seed", "3",
         "--out", str(out),
     ])
     assert code == 0
     assert out.exists()
     rows = _parse(out.read_text())
-    assert rows[0]["sweep_kind"] == "teleport_demo"
+    assert rows[0]["sweep_kind"] == "qber_vs_snr"
 
 
 def test_cli_seed_repeatability(tmp_path):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for p in paths:
         assert main([
-            "sweep", "--kind", "teleport_demo", "--trials", "500",
+            "sweep", "--kind", "qber_vs_snr", "--trials", "1000",
             "--seed", "7", "--out", str(p),
         ]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -671,7 +695,7 @@ def test_cli_qsdc_swap_attack_aborts(capsys):
 
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=5\ntrials=200\nkind=teleport_demo  # comment\n")
+    cfg.write_text("seed=5\ntrials=1000\nkind=qber_vs_snr  # comment\n")
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     text = out.read_text()
@@ -718,7 +742,7 @@ def test_env_var_sets_default_threads(tmp_path, monkeypatch):
     monkeypatch.setenv("QTSIM_THREADS", "2")
     out = tmp_path / "env.csv"
     assert main([
-        "sweep", "--kind", "teleport_demo", "--trials", "100", "--out", str(out),
+        "sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--out", str(out),
     ]) == 0
     assert out.exists()
 
@@ -757,7 +781,7 @@ _LINK_VALUES = {
 _FLAG_VALUES = {
     "sweep": {
         **_RUN_VALUES, **_LINK_VALUES,
-        "kind": st.sampled_from(["classical_ber", "qber_vs_snr", "teleport_demo"]),
+        "kind": st.sampled_from(["classical_ber", "qber_vs_snr"]),
         "trials": st.integers(1000, 10**6).map(str),
         "snr_grid_db": _float_list_text(-10.0, 20.0),
         "p_eq_list": _float_list_text(0.0, 0.3),
@@ -840,16 +864,16 @@ def _config(tmp_path, text: str) -> str:
 
 def test_cli_config_booleans_and_negative_grid(tmp_path):
     out = tmp_path / "out.csv"
-    cfg = _config(tmp_path, "kind=teleport_demo\ntrials=50\nno_turbo=true\nsnr_grid_db=-2,0\n")
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--trials", "60"]) == 0
+    cfg = _config(tmp_path, "kind=qber_vs_snr\ntrials=1000\nno_turbo=true\nsnr_grid_db=-2,0\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--trials", "1200"]) == 0
     text = out.read_text()
     assert "use=False" in text.split("# turbo=", 1)[1].splitlines()[0]
     assert "# snr_grid_db=-2,0" in text
     rows = _parse(text)
     assert [float(row["snr_db"]) for row in rows] == [-2.0, 0.0]
-    assert {row["trials"] for row in rows} == {"60"}  # the command line wins
+    assert {row["trials"] for row in rows} == {"1200"}  # the command line wins
 
-    cfg = _config(tmp_path, "kind=teleport_demo\ntrials=50\nno_turbo=off\n")
+    cfg = _config(tmp_path, "kind=qber_vs_snr\ntrials=1000\nno_turbo=off\n")
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     assert "use=True" in out.read_text().split("# turbo=", 1)[1].splitlines()[0]
 
@@ -972,7 +996,7 @@ def test_qsdc_configuration_errors_exit_1(capsys, argv, message):
 def test_bad_env_threads_exits_1(monkeypatch, capsys, value):
     monkeypatch.setenv("QTSIM_THREADS", value)
     build_parser()  # reads no environment
-    assert main(["sweep", "--kind", "teleport_demo", "--trials", "50"]) == 1
+    assert main(["sweep", "--kind", "qber_vs_snr", "--trials", "1000"]) == 1
     assert "threads" in capsys.readouterr().err
 
 
@@ -999,7 +1023,8 @@ def test_spec_rejects_input_it_would_drop():
     with pytest.raises(ValueError, match="does not read axis_convention"):
         SweepSpec(sweep_kind="qber_vs_snr", p_eq_list=(0.5,), axis_convention="per_pauli")
     with pytest.raises(ValueError, match="qsdc_batch"):
-        run_sweep(SweepSpec(sweep_kind="teleport_demo", trials_per_point=10), trace_path="t.txt")
+        run_sweep(SweepSpec(sweep_kind="qber_vs_snr", trials_per_point=1000),
+                  trace_path="t.txt")
     for snr_db in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="snr_db"):
             SweepSpec(sweep_kind="classical_ber", snr_grid_db=(0.0, snr_db))
@@ -1044,7 +1069,7 @@ _NOT_ON_SWEEP = "invalid choice: '{}'"  # the kind runs through its own command
      "does not read use_shor"),
     (["sweep", "--kind", "qber_vs_snr", "--trials", "1000", "--eve", "swap:0.5"],
      "unrecognized arguments: --eve swap:0.5"),
-    (["sweep", "--kind", "teleport_demo", "--eve", "boost:0.1"],
+    (["sweep", "--kind", "qber_vs_snr", "--eve", "boost:0.1"],
      "unrecognized arguments: --eve boost:0.1"),
     (["sweep", "--kind", "qsdc_batch", "--coherence", "per_frame"],
      _NOT_ON_SWEEP.format("qsdc_batch")),
@@ -1052,9 +1077,21 @@ _NOT_ON_SWEEP = "invalid choice: '{}'"  # the kind runs through its own command
      _NOT_ON_SWEEP.format("qsdc_batch")),
     (["sweep", "--kind", "qber_vs_snr", "--axis-convention", "per_pauli"],
      "unrecognized arguments: --axis-convention per_pauli"),
-], ids=[f"argv{i}" for i in range(10)])
+    (["sweep", "--kind", "qber_vs_snr", "--snr-grid", "0,4", "--p-eq", "0.1", "--trials",
+      "2000", "--bypass-ber", "0.01", "--zeta", "3", "--iterations", "2"],
+     "qber_vs_snr with classical_bypass_ber does not read snr_grid_db, rician, turbo"),
+    (["sweep", "--kind", "classical_ber", "--no-turbo", "--iterations", "3",
+      "--block-length", "64", "--snr-grid", "0", "--trials", "1000"],
+     "classical_ber without use_turbo does not read turbo"),
+    (["qsdc", "--no-turbo", "--iterations", "3", "-m", "20"],
+     "qsdc_batch without use_turbo does not read turbo"),
+    (["qsdc", "--bypass-ber", "0.1", "--snr-db", "0", "--zeta", "3", "-m", "20"],
+     "qsdc_batch with classical_bypass_ber does not read snr_grid_db, rician"),
+], ids=[f"argv{i}" for i in range(14)])
 def test_flag_the_sweep_kind_does_not_read_exits_1(capsys, argv, message):
-    # a flag that no kind of sweep reads is not a sweep flag at all
+    # a flag that no kind of sweep reads is not a sweep flag at all; bit flips
+    # replace the whole link (argv10, argv13), and the uncoded link has no
+    # turbo code (argv11, argv12)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "error" in err and message in err
@@ -1070,7 +1107,7 @@ _SWEEP_FLAG_VALUE = {
 def test_every_sweep_flag_sets_a_field_a_sweep_kind_reads(monkeypatch):
     """A sweep flag is a run flag, or some kind of sweep reads what it sets."""
     monkeypatch.delenv("QTSIM_THREADS", raising=False)
-    kinds = ("classical_ber", "qber_vs_snr", "teleport_demo")
+    kinds = ("classical_ber", "qber_vs_snr")
     run_flags = {"help", "config", "seed", "out", "threads", "timing", "kind", "trials"}
     unread = []
     for action in build_parser().commands["sweep"]._actions:
@@ -1095,6 +1132,14 @@ def test_every_sweep_flag_sets_a_field_a_sweep_kind_reads(monkeypatch):
     assert unread == []
     sweep = build_parser().commands["sweep"]
     assert next(a for a in sweep._actions if a.dest == "kind").choices == kinds
+
+
+def test_teleport_demo_is_not_a_sweep_kind(capsys):
+    # qber_vs_snr is the one sweep kind of the teleport curve
+    with pytest.raises(ValueError, match="unknown sweep kind 'teleport_demo'"):
+        SweepSpec("teleport_demo", p_eq_list=(0.1,), trials_per_point=1000)
+    assert main(["sweep", "--kind", "teleport_demo"]) == 1
+    assert "invalid choice: 'teleport_demo'" in capsys.readouterr().err
 
 
 def test_qsdc_has_no_coherence_flag(capsys):

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtsim.link as link_mod
 import qtsim.turbo as turbo_mod
-from qtsim.cchannel import RicianParams, qpsk_demodulate_soft, qpsk_modulate, transmit
+from qtsim.cchannel import (
+    RicianParams, llrs_to_bits, qpsk_demodulate_soft, qpsk_modulate, transmit,
+)
 from qtsim.link import send_bits
 from qtsim.turbo import (
     LOG_MAP_CLIP,
@@ -443,14 +446,22 @@ def test_erased_frame_decodes_without_fp_exceptions():
 
 
 def test_noiseless_link_returns_input_exactly():
-    # qpsk_demodulate_soft floors the noise variance, so LLRs reach ~3e12
-    bits = np.random.default_rng(72).integers(0, 2, size=3000, dtype=np.int8)
+    # send_bits returns before the chain at snr_db=inf; the chain itself, run
+    # here, floors the demodulator's N0 = 0 so that its LLRs reach ~3e12, and
+    # the decoder and the hard slicer return the input from them
+    cfg = TurboConfig()
+    bits = np.random.default_rng(72).integers(0, 2, size=3 * cfg.block_length, dtype=np.int8)
+    rng = np.random.default_rng(73)
     with np.errstate(all="raise"):
-        out = send_bits(
-            bits, np.random.default_rng(73), snr_db=math.inf,
-            rician=RicianParams(), turbo_cfg=TurboConfig(),
-        )
-    assert out.dtype == np.int8 and np.array_equal(out, bits)
+        coded = turbo_encode_batch(bits.reshape(3, -1), cfg).reshape(-1)
+        llrs = link_mod._channel_llrs(coded, rng, math.inf, RicianParams(), "per_symbol")
+        assert np.abs(llrs).max() > 1e11  # the floor branch, not a finite N0
+        decoded = turbo_decode_batch(llrs.reshape(3, -1), cfg).reshape(-1)
+        uncoded = llrs_to_bits(
+            link_mod._channel_llrs(bits, rng, math.inf, RicianParams(), "per_symbol"))
+        sent = send_bits(bits, rng, snr_db=math.inf, rician=RicianParams(), turbo_cfg=cfg)
+    for out in (decoded, uncoded, sent):
+        assert out.dtype == np.int8 and np.array_equal(out, bits)
 
 
 # ---------------------------------------------------------------------------
