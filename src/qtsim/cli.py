@@ -230,23 +230,33 @@ def _flag_tokens(parser: argparse.ArgumentParser, values: dict[str, str]) -> lis
 
 
 def parse_command(parser: _Parser, argv=None) -> argparse.Namespace:
-    """Parse argv, with QTSIM_THREADS and then --config read as flags in front of it."""
+    """Parse argv, with QTSIM_THREADS and then --config read as flags in front of it.
+
+    An ``--out`` or ``--trace`` that names the ``--config`` file is refused,
+    before anything is written, as the run would replace the config.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     values, sources = {}, []
     if "QTSIM_THREADS" in os.environ and hasattr(args, "threads"):
         values["threads"] = os.environ["QTSIM_THREADS"]
         sources.append("QTSIM_THREADS")
-    if getattr(args, "config", None):
-        values.update(load_config(args.config))
-        sources.append(args.config)
+    config = getattr(args, "config", None)
+    if config:
+        values.update(load_config(config))
+        sources.append(config)
     if not values:
         return args
     tokens = _flag_tokens(parser.commands[args.command], values)
     try:  # argv alone parsed, so a failure comes from the tokens
-        return parser.parse_args(argv[:1] + tokens + argv[1:])
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
     except CliConfigError as exc:
         raise CliConfigError(f"{exc} (read from {' and '.join(sources)})") from exc
+    for flag in ("out", "trace"):
+        path = getattr(args, flag, None)
+        if config and path and os.path.realpath(path) == os.path.realpath(config):
+            raise CliConfigError(f"--{flag} {path} would overwrite the --config file {config}")
+    return args
 
 
 def _run_fields(args) -> dict:

@@ -138,11 +138,12 @@ def _checks():
         )
 
     def turbo_roundtrip():
-        cfg = TurboConfig(block_length=256, iterations=4)
+        # the one constituent kernel with both merges: log-MAP and max-log
         info = rng.integers(0, 2, size=256, dtype=np.int8)
-        bits = turbo_encode(info, cfg)
-        llrs = 20.0 * (1.0 - 2.0 * bits.astype(float))
-        return bool(np.array_equal(turbo_decode(llrs, cfg), info))
+        configs = [TurboConfig(block_length=256, iterations=4, decoder=decoder)
+                   for decoder in ("log_map", "max_log_map")]
+        llrs = 20.0 * (1.0 - 2.0 * turbo_encode(info, configs[0]))
+        return all(np.array_equal(turbo_decode(llrs, cfg), info) for cfg in configs)
 
     def windowed_log_map():
         # one noisy block: the window-parallel pass against the sequential one
@@ -200,7 +201,7 @@ def _checks():
         ("all weight-1 Pauli errors decode cleanly", shor_weight_one),
         ("Pauli-frame transit matches the state-vector Shor round trip",
          frame_transit_weight_one),
-        ("turbo decode inverts encode on clean LLRs", turbo_roundtrip),
+        ("turbo decode (log-MAP and max-log) inverts encode on clean LLRs", turbo_roundtrip),
         ("windowed log-MAP pass matches the sequential one", windowed_log_map),
         ("QPSK demod inverts modulation on a clean link", qpsk_roundtrip),
         ("eavesdropper boost adds 0.10 to the channel", boost_params),

@@ -16,17 +16,21 @@ so a block carries exactly 3*K + 6 channel bits, one plain int8 array.
 Decoding is iterative BCJR with extrinsic exchange between the two
 constituent decoders.  LLR convention throughout: positive favors bit 0.
 
-- Exact log-MAP (``_log_map``) is the BCJR recursion of Bahl et al. in the
-  probability domain, scaled to sum 1 at every step.  The branch factors are
-  exponentiated once per half-iteration from half-metrics clipped to
-  +-``LOG_MAP_CLIP``, which keeps every factor, product and scale a normal
-  double for any input; the forward and backward recursions then only
-  multiply and add, and one logarithm per bit gives the extrinsic LLR.  Its
-  LLRs agree with the log-domain recursion wherever they lie below the clip,
-  and its decisions matched it on every test corpus.
-- A pass of few blocks (``_window_count``: B <= 4 for the 8-state code)
-  runs its T steps as W ~ sqrt(T) windows of 2h steps side by side on the
-  batch axis, as in the parallel-scan form of Sarkka & Garcia-Fernandez
+- Both decoders run one constituent kernel, ``_log_map``: the BCJR
+  recursion of Bahl et al. in the probability domain, scaled to sum 1 at
+  every step.  The branch factors are exponentiated once per half-iteration
+  from half-metrics clipped to +-``LOG_MAP_CLIP``, which keeps every factor,
+  product and scale a normal double for any input; the forward and backward
+  recursions then only multiply and merge, and one logarithm per bit gives
+  the extrinsic LLR.  Exact log-MAP merges by sum; max-log is the same
+  recursion in the (max, x) semiring (Robertson, Villebrun & Hoeher, ICC
+  1995), so it merges by maximum and keeps the state sum as its scale, which
+  cancels in the LLR.  The LLRs of both agree with the log-domain recursion
+  of the tests wherever they lie below the clip, and their decisions
+  matched it on every test corpus.
+- A log-MAP pass of few blocks (``_window_count``: B <= 4 for the 8-state
+  code) runs its T steps as W ~ sqrt(T) windows of 2h steps side by side on
+  the batch axis, as in the parallel-scan form of Sarkka & Garcia-Fernandez
   (arXiv:1905.13002).  Phase 1 pushes the S unit vectors forward through
   the first half of every window and backward through the second, each
   column scaled on its own with its log scale kept.  The backward transfer
@@ -40,14 +44,11 @@ constituent decoders.  LLR convention throughout: positive favors bit 0.
   phases of h ~ sqrt(T)/2 steps of W B (then 2 W B) columns beat T/2 steps
   of B columns.  Its LLRs equal the one-window recursion's to rounding
   (rtol 1e-12 in the tests); with one window the recursion is the
-  sequential one.
-- Max-log (``_bcjr`` with ``max_log``) stays in the log domain.  The same
-  function with ``max_log=False`` is the log-domain log-MAP oracle of the
-  tests.
+  sequential one.  The combine is a (+, x) matrix product, so a max-log
+  pass always runs one window.
 
 ``turbo_decode_batch`` returns the decisions of ``cfg.iterations`` full
-iterations (``_iterate`` is that fixed-count loop, the reference of the
-tests), but a block stops iterating once they are known.  Decoder 1's
+iterations, but a block stops iterating once they are known.  Decoder 1's
 a-priori LLRs are the only state one iteration hands the next; everything
 else is a function of them and the channel LLRs.  So when they equal,
 bitwise, those of the iteration before (a fixed point), every later
@@ -286,65 +287,23 @@ def split_llrs(llrs: np.ndarray, cfg: TurboConfig):
     )
 
 
-def _logsumexp_states(a: np.ndarray) -> np.ndarray:
-    """log-sum-exp over the state axis of a (B, S) metric array."""
-    peak = a.max(axis=1)
-    return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
-
-
-def _bcjr(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool, max_log: bool):
-    """Batched BCJR pass: posterior info-bit LLRs of shape (B, T).
-
-    All inputs are (B, T).  ``terminated`` pins the backward recursion to
-    state 0; otherwise it starts uniform.
-    """
-    acc = np.maximum if max_log else np.logaddexp
-    reduce_states = (lambda a: a.max(axis=1)) if max_log else _logsumexp_states
-    batch, steps = l_sys.shape
-    n_states = trellis.n_states
-    ns0 = trellis.next_state[0]
-    ns1 = trellis.next_state[1]
-    par_sign0 = (1.0 - 2.0 * trellis.parity[0]).astype(float)  # (S,)
-    par_sign1 = (1.0 - 2.0 * trellis.parity[1]).astype(float)
-
-    # Branch metrics for every step at once: (T, B, S).
-    half_in = (0.5 * (l_sys + l_apriori)).T[:, :, None]
-    half_par = (0.5 * l_par).T[:, :, None]
-    g0 = half_in + half_par * par_sign0
-    g1 = -half_in + half_par * par_sign1
-
-    alpha = np.empty((steps + 1, batch, n_states))
-    alpha[0] = -np.inf
-    alpha[0, :, 0] = 0.0
-    c0 = np.empty((batch, n_states))
-    c1 = np.empty((batch, n_states))
-    for t in range(steps):
-        c0[:, ns0] = alpha[t] + g0[t]
-        c1[:, ns1] = alpha[t] + g1[t]
-        nxt = alpha[t + 1]
-        acc(c0, c1, out=nxt)
-        nxt -= nxt.max(axis=1, keepdims=True)
-
-    beta = np.zeros((batch, n_states))
-    if terminated:
-        beta[:] = -np.inf
-        beta[:, 0] = 0.0
-    posterior = np.empty((batch, steps))
-    for t in range(steps - 1, -1, -1):
-        b0 = beta[:, ns0] + g0[t]
-        b1 = beta[:, ns1] + g1[t]
-        posterior[:, t] = reduce_states(alpha[t] + b0) - reduce_states(alpha[t] + b1)
-        beta = acc(b0, b1)
-        beta -= beta.max(axis=1, keepdims=True)
-    return posterior
-
-
 # Half-metric clip of the probability-domain decoder.  Every branch factor
 # lies in [exp(-4 C), 1], and from the third step on every nonzero scaled
 # state metric lies in [exp(-12 C) / 64, 1], so the smallest product formed,
 # alpha * parity factor * beta in the posterior, stays above
 # exp(-26 C) / 4096: a normal double for C < 26.9.  An LLR past 2 C = 50
 # means an error probability below 2e-22 either way.
+#
+# The max merge of max-log keeps these bounds.  The maximum of two products
+# is at least each of them and at least half their sum, so a step's state
+# sum before scaling lies between half the sum merge's and the sum merge's,
+# within [exp(-4 C) / 2, 2], and the largest scaled metric is still at least
+# 1/S.  So every nonzero scaled metric from the third step on again lies in
+# [exp(-12 C) / 64, 1], and every posterior maximum is at least the smallest
+# product, exp(-26 C) / 4096.  On inputs within the clip, max-log LLRs equal
+# those of the log-domain max-log recursion to rounding (rtol 1e-9 in the
+# tests, where they lie below 2 C); that recursion clips nothing, so a
+# clipped input can move them.
 #
 # The windowed recursion keeps these bounds.  Phase 1 scales each unit-vector
 # column to sum 1 at every step on its own, so its entries obey the same
@@ -480,17 +439,20 @@ def _shaped(flat, *shape):
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scales=None) -> None:
+def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scales=None,
+             merge=np.add) -> None:
     """Fill ``rows[1:]`` from ``rows[0]``, row i + 1 by step ``first_step + i``.
 
     A row holds (alpha_k, beta_{T-k}) over the states, beta's bit-reversed,
     so that step k -> k+1 runs the forward butterfly of trellis step k and
-    the backward one of step T-1-k with the same views, then rescales both
-    to sum 1.  ``branch`` holds rows 4t + 2*input + parity, its columns
-    those of the last axis of ``rows``; ``rows`` may have one more axis
-    before that one, across which the factors are shared.  ``gathered`` (a
-    flat buffer) receives the factors of each step's butterflies, and
-    ``scales``, if given, each step's state sums.
+    the backward one of step T-1-k with the same views, merging each state's
+    two branch products with ``merge`` (``np.add``, or ``np.maximum`` for
+    max-log), then rescales both to sum 1.  ``branch`` holds rows
+    4t + 2*input + parity, its columns those of the last axis of ``rows``;
+    ``rows`` may have one more axis before that one, across which the
+    factors are shared.  ``gathered`` (a flat buffer) receives the factors
+    of each step's butterflies, and ``scales``, if given, each step's state
+    sums.
     """
     n_rows, _, n_states, *cols = rows.shape
     half = n_states // 2
@@ -506,10 +468,10 @@ def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scale
     prod = np.empty((2, 2, 2, half, *cols))
     if scales is None:
         scales = np.empty((n_rows - 1, 2, 1, *cols))
-    multiply, add, divide, add_reduce = np.multiply, np.add, np.divide, np.add.reduce
+    multiply, divide, add_reduce = np.multiply, np.divide, np.add.reduce
     for i, g_k in enumerate(g):
         multiply(g_k, inputs[i], out=prod)
-        add(prod[:, 0], prod[:, 1], out=outputs[i + 1])
+        merge(prod[:, 0], prod[:, 1], out=outputs[i + 1])
         nxt, total = rows[i + 1], scales[i]
         add_reduce(nxt, axis=1, keepdims=True, out=total)
         divide(nxt, total, out=nxt)
@@ -642,38 +604,42 @@ def _window_starts(units, scales, row0, tail: int, trellis: RscTrellis, out) -> 
 
 
 def _extrinsic(alpha, beta_next, parity_factor, trellis: RscTrellis, out,
-               work: _LogMapBuffers) -> None:
-    """Extrinsic LLRs of L steps: log-ratio of the input-0 and input-1 sums.
+               work: _LogMapBuffers, merge=np.add) -> None:
+    """Extrinsic LLRs of L steps: log-ratio of the input-0 and input-1 merges.
 
-    The sum for input x runs over alpha_t(s) * parity factor * beta_{t+1}(s')
-    of the transitions s -> s' with input x; ``alpha`` is (L, S, B) over
-    natural states, ``beta_next`` (L, S, B) over bit-reversed ones.
+    The ``merge`` (sum, or maximum for max-log) for input x runs over
+    alpha_t(s) * parity factor * beta_{t+1}(s') of the transitions s -> s'
+    with input x; ``alpha`` is (L, S, B) over natural states, ``beta_next``
+    (L, S, B) over bit-reversed ones.
     """
     n = alpha.shape[0]
     paths = np.take(beta_next, trellis.bit_reversed[trellis.next_state], axis=1,
                     out=work.paths[:n], mode="clip")  # [t, x, s, b]
     paths *= alpha[:, None]
     paths *= np.take(parity_factor, trellis.parity, axis=1, out=work.factors[:n], mode="clip")
-    q = np.add.reduce(paths, axis=2, out=work.sums[:n]).transpose(1, 0, 2)
+    q = merge.reduce(paths, axis=2, out=work.sums[:n]).transpose(1, 0, 2)
     log_q = np.log(np.maximum(q, np.finfo(float).tiny, out=q), out=q)
     np.subtract(log_q[0], log_q[1], out=out)
 
 
 def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
-             work: _LogMapBuffers | None = None, windows: int | None = None):
-    """Exact log-MAP pass as a scaled probability-domain BCJR.
+             work: _LogMapBuffers | None = None, windows: int | None = None, merge=np.add):
+    """Log-MAP (``merge=np.add``) or max-log (``np.maximum``) pass as a scaled BCJR.
 
-    Same contract as ``_bcjr``: (B, T) inputs, posterior info-bit LLRs of
-    shape (B, T).  The branch factors are exponentiated once; the forward
-    and backward recursions then only multiply and add (``_advance``), and
-    one logarithm per bit gives the extrinsic part of the posterior.
-    ``work`` holds the work arrays (new ones if not given).  The recursion
-    runs in ``windows`` trellis windows, by default ``_window_count``'s.
+    (B, T) inputs give posterior info-bit LLRs of shape (B, T).  The branch
+    factors are exponentiated once; the forward and backward recursions then
+    only multiply and merge (``_advance``), and one logarithm per bit gives
+    the extrinsic part of the posterior.  ``work`` holds the work arrays
+    (new ones if not given).  The recursion runs in ``windows`` trellis
+    windows, by default ``_window_count``'s; max-log runs one, since the
+    windowed combine sums.
     """
     batch, steps = l_sys.shape
     n_states = trellis.n_states
     if windows is None:
-        windows = _window_count(batch, steps, n_states)
+        windows = _window_count(batch, steps, n_states) if merge is np.add else 1
+    if windows > 1 and merge is not np.add:
+        raise ValueError("only the log-MAP merge runs in windows")
     if work is None:
         work = _LogMapBuffers(batch, steps, n_states, max_windows=windows)
     if windows > work.max_windows:
@@ -705,7 +671,8 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
         low[0, 1] = 1.0 / n_states
     if windows == 1:
         for k0 in range(0, n_low - 1, SLAB):
-            _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work.gathered)
+            _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work.gathered,
+                     merge=merge)
     else:
         _windowed_rows(low, branch, trellis, windows, work)
 
@@ -713,18 +680,18 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
     for t0 in range(steps - n_low, n_low, slab):  # steps whose two rows are both kept
         t1 = min(t0 + slab, n_low)
         _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0, 1][::-1], parity_factor[t0:t1],
-                   trellis, extrinsic[t0:t1], work)
+                   trellis, extrinsic[t0:t1], work, merge)
     buf = work.buf
     buf[0] = low[-1]
     for r0 in range(n_low, steps, SLAB):
         r1 = min(r0 + SLAB, steps)
         rows = buf[:r1 - r0 + 1]
-        _advance(rows, branch, trellis, r0 - 1, work.gathered)
+        _advance(rows, branch, trellis, r0 - 1, work.gathered, merge=merge)
         partner = low[steps - r1:steps - r0]  # rows T-1-r, r from r1-1 down to r0
         _extrinsic(rows[1:, 0], partner[::-1, 1], parity_factor[r0:r1],
-                   trellis, extrinsic[r0:r1], work)
+                   trellis, extrinsic[r0:r1], work, merge)
         _extrinsic(partner[:, 0], rows[:0:-1, 1], parity_factor[steps - r1:steps - r0],
-                   trellis, extrinsic[steps - r1:steps - r0], work)
+                   trellis, extrinsic[steps - r1:steps - r0], work, merge)
         buf[0] = rows[-1]
     return l_sys + l_apriori + extrinsic.T
 
@@ -734,23 +701,23 @@ def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
 
     ``llrs`` is (B, 3K+6) in frame layout order.  Returns (B, K) hard bits,
     or with ``iteration_trace`` a list of per-iteration hard-bit arrays:
-    those of ``cfg.iterations`` full iterations (``_iterate``), bit for bit.
-    A block stops iterating once decoder 1's a-priori LLRs repeat those of
-    the iteration before (a fixed point) or the one before that (a 2-cycle);
-    its later decisions repeat those already made.
+    those of ``cfg.iterations`` full iterations, bit for bit.  Every pass of
+    either decoder is a ``_log_map`` pass: ``cfg.decoder`` picks its merge,
+    ``np.add`` for log-MAP and ``np.maximum`` for max-log, and max-log runs
+    one window.  A block stops iterating once decoder 1's a-priori LLRs
+    repeat those of the iteration before (a fixed point) or the one before
+    that (a 2-cycle); its later decisions repeat those already made.
     """
     trellis = _trellis(cfg.generators)
     l_sys, l_par1, l_par2, l_tail_sys, l_tail_par1 = split_llrs(llrs, cfg)
     batch, k = l_sys.shape
-    if cfg.decoder == "max_log_map":
-        siso = partial(_bcjr, max_log=True)
-    else:
-        # The window count of the whole batch serves every pass: W changes
-        # the rounding, and a shrinking batch must not change W.
-        steps = k + trellis.memory
-        windows = _window_count(batch, steps, trellis.n_states)
-        siso = partial(_log_map, windows=windows, work=_LogMapBuffers(
-            batch, steps, trellis.n_states, max_windows=windows))
+    steps = k + trellis.memory
+    merge = np.maximum if cfg.decoder == "max_log_map" else np.add
+    # The window count of the whole batch serves every pass: W changes the
+    # rounding, and a shrinking batch must not change W.
+    windows = _window_count(batch, steps, trellis.n_states) if merge is np.add else 1
+    siso = partial(_log_map, windows=windows, merge=merge, work=_LogMapBuffers(
+        batch, steps, trellis.n_states, max_windows=windows))
     perm = _permutation(cfg.interleaver_seed, k)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(k)
@@ -818,38 +785,6 @@ def _extrinsic_part(post, l_in, l_apriori):
     post -= l_in
     post -= l_apriori
     return post
-
-
-def _iterate(llrs, cfg: TurboConfig, siso, iteration_trace: bool = False):
-    """Turbo iterations with ``siso`` as the constituent decoder.
-
-    ``siso(l_sys, l_par, l_apriori, trellis, terminated)`` returns posterior
-    LLRs; the iterations exchange their extrinsic parts.
-    """
-    trellis = _trellis(cfg.generators)
-    l_sys, l_par1, l_par2, l_tail_sys, l_tail_par1 = split_llrs(llrs, cfg)
-    batch, k = l_sys.shape
-    perm = _permutation(cfg.interleaver_seed, k)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(k)
-
-    sys1 = np.concatenate([l_sys, l_tail_sys], axis=1)
-    par1 = np.concatenate([l_par1, l_tail_par1], axis=1)
-    sys2 = l_sys[:, perm]
-
-    apriori1 = np.zeros((batch, k + trellis.memory))
-    trace = []
-    for _ in range(cfg.iterations):
-        post1 = siso(sys1, par1, apriori1, trellis, terminated=True)
-        extrinsic1 = post1[:, :k] - l_sys - apriori1[:, :k]
-        apriori2 = extrinsic1[:, perm]
-        post2 = siso(sys2, l_par2, apriori2, trellis, terminated=False)
-        extrinsic2 = post2 - sys2 - apriori2
-        apriori1[:, :k] = extrinsic2[:, inv]
-        if iteration_trace:
-            trace.append((post2[:, inv] < 0).astype(np.int8))
-    decisions = (post2[:, inv] < 0).astype(np.int8)
-    return trace if iteration_trace else decisions
 
 
 def turbo_decode(llrs, cfg: TurboConfig) -> np.ndarray:

@@ -549,6 +549,22 @@ def test_out_and_trace_at_one_file_exit_1_and_write_nothing(tmp_path, capsys, mo
     assert main(argv[:-2] + ["--trace", "trace.txt"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--kind", "classical_ber", "--snr-grid", "0", "--trials", "1000", "--out"],
+    ["qsdc", "--sessions", "2", "-m", "20", "--trace"],
+], ids=["sweep_out", "qsdc_trace"])
+def test_output_at_the_config_file_exits_1_and_keeps_it(tmp_path, capsys, monkeypatch, argv):
+    # the run would replace the config with its CSV or its pair trace
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("run.cfg").write_text("seed = 3\n")
+    os.symlink("run.cfg", "link.cfg")
+    for target in ("run.cfg", "./link.cfg"):
+        assert main([*argv[:1], "--config", "run.cfg", *argv[1:], target]) == 1
+        assert "would overwrite the --config file run.cfg" in capsys.readouterr().err
+        assert sorted(os.listdir()) == ["link.cfg", "run.cfg"]
+        assert pathlib.Path("run.cfg").read_text() == "seed = 3\n"
+
+
 def test_qsdc_bypass_ber_writes_the_sweep_spec_bytes(tmp_path, capsys):
     # sessions over the i.i.d. bypass run through qsdc, as the equal SweepSpec does
     out = tmp_path / "cli.csv"

@@ -21,11 +21,11 @@ from qtsim.turbo import (
     RscTrellis,
     TurboConfig,
     _advance,
-    _bcjr,
     _half_windows,
-    _iterate,
     _log_map,
     _LogMapBuffers,
+    _permutation,
+    _trellis,
     _window_count,
     coded_block_bits,
     interleave,
@@ -301,10 +301,98 @@ def test_iteration_trace_ber_non_increasing():
 
 
 # ---------------------------------------------------------------------------
-# probability-domain log-MAP against the log-domain oracle
+# probability-domain log-MAP and max-log against the log-domain oracles
 # ---------------------------------------------------------------------------
 
+def _logsumexp_states(a: np.ndarray) -> np.ndarray:
+    """log-sum-exp over the state axis of a (B, S) metric array."""
+    peak = a.max(axis=1)
+    return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+
+
+def _bcjr(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool, max_log: bool):
+    """Log-domain BCJR pass (the oracle): posterior info-bit LLRs of shape (B, T).
+
+    All inputs are (B, T).  ``terminated`` pins the backward recursion to
+    state 0; otherwise it starts uniform.  Nothing is clipped.
+    """
+    acc = np.maximum if max_log else np.logaddexp
+    reduce_states = (lambda a: a.max(axis=1)) if max_log else _logsumexp_states
+    batch, steps = l_sys.shape
+    n_states = trellis.n_states
+    ns0 = trellis.next_state[0]
+    ns1 = trellis.next_state[1]
+    par_sign0 = (1.0 - 2.0 * trellis.parity[0]).astype(float)  # (S,)
+    par_sign1 = (1.0 - 2.0 * trellis.parity[1]).astype(float)
+
+    # Branch metrics for every step at once: (T, B, S).
+    half_in = (0.5 * (l_sys + l_apriori)).T[:, :, None]
+    half_par = (0.5 * l_par).T[:, :, None]
+    g0 = half_in + half_par * par_sign0
+    g1 = -half_in + half_par * par_sign1
+
+    alpha = np.empty((steps + 1, batch, n_states))
+    alpha[0] = -np.inf
+    alpha[0, :, 0] = 0.0
+    c0 = np.empty((batch, n_states))
+    c1 = np.empty((batch, n_states))
+    for t in range(steps):
+        c0[:, ns0] = alpha[t] + g0[t]
+        c1[:, ns1] = alpha[t] + g1[t]
+        nxt = alpha[t + 1]
+        acc(c0, c1, out=nxt)
+        nxt -= nxt.max(axis=1, keepdims=True)
+
+    beta = np.zeros((batch, n_states))
+    if terminated:
+        beta[:] = -np.inf
+        beta[:, 0] = 0.0
+    posterior = np.empty((batch, steps))
+    for t in range(steps - 1, -1, -1):
+        b0 = beta[:, ns0] + g0[t]
+        b1 = beta[:, ns1] + g1[t]
+        posterior[:, t] = reduce_states(alpha[t] + b0) - reduce_states(alpha[t] + b1)
+        beta = acc(b0, b1)
+        beta -= beta.max(axis=1, keepdims=True)
+    return posterior
+
+
+def _iterate(llrs, cfg: TurboConfig, siso, iteration_trace: bool = False):
+    """Fixed-count turbo iterations with ``siso`` as the constituent decoder.
+
+    ``siso(l_sys, l_par, l_apriori, trellis, terminated)`` returns posterior
+    LLRs; the iterations exchange their extrinsic parts.  Every block runs
+    all ``cfg.iterations``: the reference of ``turbo_decode_batch``.
+    """
+    trellis = _trellis(cfg.generators)
+    l_sys, l_par1, l_par2, l_tail_sys, l_tail_par1 = split_llrs(llrs, cfg)
+    batch, k = l_sys.shape
+    perm = _permutation(cfg.interleaver_seed, k)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(k)
+
+    sys1 = np.concatenate([l_sys, l_tail_sys], axis=1)
+    par1 = np.concatenate([l_par1, l_tail_par1], axis=1)
+    sys2 = l_sys[:, perm]
+
+    apriori1 = np.zeros((batch, k + trellis.memory))
+    trace = []
+    for _ in range(cfg.iterations):
+        post1 = siso(sys1, par1, apriori1, trellis, terminated=True)
+        extrinsic1 = post1[:, :k] - l_sys - apriori1[:, :k]
+        apriori2 = extrinsic1[:, perm]
+        post2 = siso(sys2, l_par2, apriori2, trellis, terminated=False)
+        extrinsic2 = post2 - sys2 - apriori2
+        apriori1[:, :k] = extrinsic2[:, inv]
+        if iteration_trace:
+            trace.append((post2[:, inv] < 0).astype(np.int8))
+    decisions = (post2[:, inv] < 0).astype(np.int8)
+    return trace if iteration_trace else decisions
+
+
 _ORACLE = partial(_bcjr, max_log=False)
+_MAX_LOG_ORACLE = partial(_bcjr, max_log=True)
+_DECODERS = ("log_map", "max_log_map")
 
 
 @lru_cache(maxsize=None)
@@ -324,6 +412,7 @@ def test_log_map_matches_log_domain_oracle(snr_db):
 
     The oracle runs in the same iteration loop; each of its constituent
     passes is repeated by the probability-domain decoder on the same inputs.
+    Max-log decodes to the decisions of the log-domain max-log oracle.
     """
     cfg = TurboConfig()
     _, llrs = _rician_corpus(snr_db)
@@ -340,6 +429,9 @@ def test_log_map_matches_log_domain_oracle(snr_db):
     reference = _iterate(llrs, cfg, checked_oracle)
     assert len(compared) == 2 * cfg.iterations and compared[0] > 0
     assert np.array_equal(turbo_decode_batch(llrs, cfg), reference)
+    max_log = TurboConfig(decoder="max_log_map")
+    assert np.array_equal(turbo_decode_batch(llrs, max_log),
+                          _iterate(llrs, max_log, _MAX_LOG_ORACLE))
 
 
 @pytest.mark.parametrize("generators", [(0o13, 0o15), (0o13, 0o16), (0o7, 0o5), (0o23, 0o35)])
@@ -347,7 +439,9 @@ def test_log_map_matches_log_domain_oracle(snr_db):
 def test_log_map_matches_oracle_across_trellis_lengths(generators, terminated):
     # odd and even lengths around the slab size (the kept half of the rows,
     # the middle steps, the partial last slab), and codes of memory 2 to 4
-    # whose butterflies are not symmetric in input and output
+    # whose butterflies are not symmetric in input and output; max-log runs
+    # the same kernel with the max merge, and its LLRs equal the log-domain
+    # max-log oracle's wherever they lie below the input clip 2C
     rng = np.random.default_rng(74)
     trellis = RscTrellis(*generators)
     for steps in (40, 43, 63, 64, 65, 128, 129, 130, 131, 259):
@@ -356,6 +450,13 @@ def test_log_map_matches_oracle_across_trellis_lengths(generators, terminated):
             _log_map(l_sys, l_par, l_apriori, trellis, terminated),
             _ORACLE(l_sys, l_par, l_apriori, trellis, terminated),
             rtol=1e-9, atol=1e-9,
+        )
+        ref = _MAX_LOG_ORACLE(l_sys, l_par, l_apriori, trellis, terminated)
+        below = np.abs(ref) < 2 * LOG_MAP_CLIP
+        assert below.mean() > 0.9
+        np.testing.assert_allclose(
+            _log_map(l_sys, l_par, l_apriori, trellis, terminated, merge=np.maximum)[below],
+            ref[below], rtol=1e-9, atol=1e-9,
         )
 
 
@@ -429,20 +530,24 @@ def test_single_block_decode_matches_batch():
 
 @pytest.mark.parametrize("magnitude", [30.0, 1e3, 1e12])
 def test_saturated_frames_decode_without_fp_exceptions(magnitude):
-    cfg = TurboConfig(block_length=256, iterations=4)
+    # and each decoder's log-domain oracle, which clips nothing, decodes them too
     info = np.random.default_rng(71).integers(0, 2, size=256, dtype=np.int8)
-    llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg))
-    with np.errstate(all="raise"):
-        assert np.array_equal(turbo_decode(llrs, cfg), info)
+    for decoder, oracle in zip(_DECODERS, (_ORACLE, _MAX_LOG_ORACLE)):
+        cfg = TurboConfig(block_length=256, iterations=4, decoder=decoder)
+        llrs = magnitude * (1.0 - 2.0 * turbo_encode(info, cfg))
+        with np.errstate(all="raise"):
+            assert np.array_equal(turbo_decode(llrs, cfg), info)
+        assert np.array_equal(_iterate(llrs[None], cfg, oracle)[0], info)
 
 
 def test_erased_frame_decodes_without_fp_exceptions():
     # all-zero LLRs: every branch factor is 1, so an unscaled recursion
     # would double its metrics at each of the 2051 steps
-    cfg = TurboConfig(block_length=2048, iterations=2)
-    with np.errstate(all="raise"):
-        decoded = turbo_decode(np.zeros(coded_block_bits(cfg)), cfg)
-    assert decoded.shape == (cfg.block_length,)
+    for decoder in _DECODERS:
+        cfg = TurboConfig(block_length=2048, iterations=2, decoder=decoder)
+        with np.errstate(all="raise"):
+            decoded = turbo_decode(np.zeros(coded_block_bits(cfg)), cfg)
+        assert decoded.shape == (cfg.block_length,)
 
 
 def test_noiseless_link_returns_input_exactly():
