@@ -50,7 +50,6 @@ from .cchannel import (
     ReceivedFrame,
     RicianParams,
     SymbolFrame,
-    fading_coefficient,
     qpsk_demodulate_soft,
     qpsk_modulate,
     transmit,

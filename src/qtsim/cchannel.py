@@ -5,10 +5,12 @@ The fading coefficient is
     H = sqrt(p0/d^2) * ( sqrt(zeta/(zeta+1)) * H_los
                          + sqrt(1/(zeta+1)) * H_nlos )
 
-with H_los = exp(i*los_phase) deterministic and H_nlos circularly-symmetric
-complex Gaussian of unit variance, so E[|H|^2] = p0/d^2 for every zeta.
-zeta = 0 is pure Rayleigh scatter; as zeta -> inf (zeta itself must be
-finite) the link tends to a clean line of sight.
+with H_los = 1 and H_nlos circularly-symmetric complex Gaussian of unit
+variance, so E[|H|^2] = p0/d^2 for every zeta.  zeta = 0 is pure Rayleigh
+scatter; as zeta -> inf (zeta itself must be finite) the link tends to a
+clean line of sight.  No LOS phase is kept: the receiver knows H and
+filters by conj(H), and H_nlos is circularly symmetric, so a rotated LOS
+term leaves the law of |H|^2 and conj(H)*n, and so of every LLR, unchanged.
 
 SNR convention: ``snr_db`` is average received symbol energy over noise
 spectral density, Es/N0, with Es measured at the modulator (unit-energy
@@ -40,7 +42,6 @@ class RicianParams:
     p0: float = 1.0
     d: float = 1.0
     zeta: float = 10.0
-    los_phase: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.p0) and self.p0 > 0):
@@ -49,8 +50,6 @@ class RicianParams:
             raise ValueError(f"d must be finite and positive, got {self.d}")
         if not (math.isfinite(self.zeta) and self.zeta >= 0):
             raise ValueError(f"zeta must be finite and >= 0, got {self.zeta}")
-        if not math.isfinite(self.los_phase):
-            raise ValueError(f"los_phase must be finite, got {self.los_phase}")
 
     @property
     def mean_power(self) -> float:
@@ -100,15 +99,10 @@ def qpsk_modulate(bits, snr_db: float = math.inf) -> SymbolFrame:
 def fading_coefficients(params: RicianParams, rng, n: int) -> np.ndarray:
     """Draw n i.i.d. Rician coefficients."""
     scale = math.sqrt(params.mean_power)
-    los = math.sqrt(params.zeta / (params.zeta + 1.0)) * np.exp(1j * params.los_phase)
+    los = math.sqrt(params.zeta / (params.zeta + 1.0))
     nlos_sd = math.sqrt(1.0 / (params.zeta + 1.0) / 2.0)
     nlos = nlos_sd * (rng.normal(size=n) + 1j * rng.normal(size=n))
     return scale * (los + nlos)
-
-
-def fading_coefficient(params: RicianParams, rng) -> complex:
-    """Draw one Rician coefficient."""
-    return complex(fading_coefficients(params, rng, 1)[0])
 
 
 # transmit's fading modes: one H per symbol, or one H held for the frame.
@@ -133,7 +127,7 @@ def noise_variance(params: RicianParams, snr_db: float) -> float:
     """
     try:
         mean_power = params.mean_power
-    except OverflowError:  # d**2 beyond the float range
+    except ArithmeticError:  # d**2 overflows, or underflows to 0
         mean_power = math.inf
     if not 0.0 < mean_power <= MAX_MEAN_POWER:
         raise ValueError(
@@ -172,16 +166,14 @@ def transmit(
     if coherence == "per_symbol":
         h = fading_coefficients(params, rng, x.size)
     elif coherence == "per_frame":
-        h = np.full(x.size, fading_coefficient(params, rng))
+        h = np.full(x.size, fading_coefficients(params, rng, 1)[0])
     else:
         raise ValueError(f"unknown coherence mode {coherence!r}")
-    if frame.snr_db == math.inf:
-        y = h * x
-    else:
-        noise = math.sqrt(noise_var / 2.0) * (
+    y = h * x
+    if noise_var > 0:
+        y += math.sqrt(noise_var / 2.0) * (
             rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
         )
-        y = h * x + noise
     return ReceivedFrame(y, h, noise_var)
 
 

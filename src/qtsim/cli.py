@@ -65,15 +65,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_eve(text: str) -> EveModel:
-    """Parse --eve values: none | swap:<fraction> | boost:<delta>."""
+    """Parse --eve values: none | swap:<fraction> | boost:<delta>.
+
+    A bad value raises ArgumentTypeError, so argparse prints its reason.
+    """
     if text == "none":
         return NO_EVE
     kind, _, value = text.partition(":")
-    if kind == "swap":
-        return EveModel(mode="swap", intercept_fraction=float(value or 1.0))
-    if kind == "boost":
-        return EveModel(mode="depolarize_boost", delta_pe=float(value or 0.10))
-    raise CliConfigError(f"bad --eve value {text!r} (none | swap:frac | boost:delta)")
+    try:
+        if kind == "swap":
+            return EveModel(mode="swap", intercept_fraction=float(value or 1.0))
+        if kind == "boost":
+            return EveModel(mode="depolarize_boost", delta_pe=float(value or 0.10))
+    except ValueError as exc:  # a non-number, or a value EveModel refuses
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    raise argparse.ArgumentTypeError(f"bad --eve value {text!r} (none | swap:frac | boost:delta)")
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -385,7 +391,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # SweepIOError, or an unreadable --config

@@ -50,26 +50,24 @@ MIN_EVE_BOOST = 0.10
 
 @dataclass(frozen=True)
 class DepolarizingParams:
-    """Total error probability P_eq and per-Pauli probability p_e = P_eq/3."""
+    """Total error probability P_eq; X, Z and Y each occur with P_eq/3.
+
+    ``from_per_pauli`` reads a per-Pauli probability p_e as P_eq = 3 p_e.
+    """
 
     p_eq: float
-    p_e: float
 
     def __post_init__(self):
         if not 0.0 <= self.p_eq <= 1.0:
             raise ValueError(f"p_eq must be in [0, 1], got {self.p_eq}")
-        if abs(self.p_eq - 3.0 * self.p_e) > 1e-12:
-            raise ValueError(
-                f"p_eq = {self.p_eq} and p_e = {self.p_e} violate p_eq == 3*p_e"
-            )
 
     @classmethod
     def from_total(cls, p_eq: float) -> "DepolarizingParams":
-        return cls(p_eq, p_eq / 3.0)
+        return cls(p_eq)
 
     @classmethod
     def from_per_pauli(cls, p_e: float) -> "DepolarizingParams":
-        return cls(3.0 * p_e, p_e)
+        return cls(3.0 * p_e)
 
 
 @dataclass(frozen=True)

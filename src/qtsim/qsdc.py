@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cchannel import RicianParams, noise_variance
-from .qchannel import DepolarizingParams, EveModel, NO_EVE, effective_params
+from .qchannel import MIN_EVE_BOOST, NO_EVE, DepolarizingParams, EveModel, effective_params
 from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
 from .shor import exact_logical_rate, transit_flags
 from .teleport import teleport_frames
@@ -289,14 +289,14 @@ def geometric_threshold(
 
 
 @lru_cache(maxsize=64)
-def choose_threshold(
-    depol: DepolarizingParams,
-    delta_pe: float = 0.10,
-    m_virtual: int | None = None,
-) -> float:
-    """Security threshold from the clean and boosted decoded error rates."""
+def choose_threshold(depol: DepolarizingParams, m_virtual: int | None = None) -> float:
+    """Security threshold from the clean and boosted decoded error rates.
+
+    The boosted rate is that of P_eq + MIN_EVE_BOOST (capped at 1), the
+    least channel error an eavesdropper is assumed to add.
+    """
     p_no_eve = exact_logical_rate(depol)
-    boosted = DepolarizingParams.from_total(min(1.0, depol.p_eq + delta_pe))
+    boosted = DepolarizingParams.from_total(min(1.0, depol.p_eq + MIN_EVE_BOOST))
     return geometric_threshold(p_no_eve, exact_logical_rate(boosted), m_virtual)
 
 

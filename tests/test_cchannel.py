@@ -7,7 +7,6 @@ import pytest
 from qtsim.cchannel import (
     ReceivedFrame,
     RicianParams,
-    fading_coefficient,
     fading_coefficients,
     llrs_to_bits,
     qpsk_demodulate_soft,
@@ -87,19 +86,13 @@ def test_unit_power_for_every_zeta(zeta):
     assert abs(power.mean() - 1.0) < 4 * sigma
 
 
-def test_single_coefficient_draw():
-    rng = np.random.default_rng(44)
-    h = fading_coefficient(RicianParams(), rng)
-    assert isinstance(h, complex)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         RicianParams(p0=0.0)
     with pytest.raises(ValueError):
         RicianParams(zeta=-1.0)
     for bad in (dict(p0=math.nan), dict(p0=math.inf), dict(d=math.nan), dict(d=math.inf),
-                dict(zeta=math.nan), dict(zeta=math.inf), dict(los_phase=math.nan)):
+                dict(zeta=math.nan), dict(zeta=math.inf)):
         with pytest.raises(ValueError):
             RicianParams(**bad)
 
@@ -118,6 +111,7 @@ def test_transmit_refuses_nan_and_minus_inf_snr(snr_db):
     (RicianParams(p0=1e-200, d=1e100), 0.0),  # the gain underflows to 0
     (RicianParams(d=1e7), 3000.0), (RicianParams(p0=1e-100), 3000.0),
     (RicianParams(p0=1e100), -3000.0),
+    (RicianParams(d=1e-200), 0.0),  # d**2 underflows to 0
 ])
 def test_transmit_refuses_a_link_outside_the_float_range(params, snr_db):
     frame = qpsk_modulate(np.zeros(8, dtype=np.int8), snr_db)
@@ -143,6 +137,10 @@ def test_per_frame_coherence_uses_one_coefficient():
     frame = qpsk_modulate(rng.integers(0, 2, size=64), 20.0)
     received = transmit(frame, RicianParams(zeta=1.0), rng, coherence="per_frame")
     assert np.all(received.csi == received.csi[0])
+    # the held coefficient is the first draw after the bits, from the one sampler
+    rng = np.random.default_rng(46)
+    rng.integers(0, 2, size=64)
+    assert received.csi[0] == fading_coefficients(RicianParams(zeta=1.0), rng, 1)[0]
 
 
 def _rayleigh_qpsk_ber(gamma_bit: float) -> float:

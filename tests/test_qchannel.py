@@ -38,10 +38,7 @@ class ScriptedRng:
 # ---------------------------------------------------------------------------
 
 def test_params_relation_enforced():
-    params = DepolarizingParams.from_total(0.3)
-    assert params.p_e == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        DepolarizingParams(0.3, 0.2)
+    assert DepolarizingParams.from_per_pauli(0.1) == DepolarizingParams(3.0 * 0.1)
     with pytest.raises(ValueError):
         DepolarizingParams.from_total(1.5)
 

@@ -474,8 +474,43 @@ def test_cli_no_command_exits_1(capsys):
     assert main([]) == 1
 
 
-def test_cli_bad_eve_value_exits_1(capsys):
-    assert main(["qsdc", "--eve", "mitm"]) == 1
+@pytest.mark.parametrize("value,reason", [
+    ("mitm", "bad --eve value"),
+    ("boost:0.05", "at least 0.1"),
+    ("swap:1.5", "intercept_fraction"),
+    ("swap:x", "could not convert"),
+], ids=["mitm", "boost_below_min", "swap_above_1", "swap_not_a_number"])
+def test_cli_bad_eve_value_exits_1(capsys, value, reason):
+    assert main(["qsdc", "--eve", value]) == 1
+    assert reason in capsys.readouterr().err
+
+
+# Every float flag of each command, at values at and beyond the float range's
+# edges; a tiny base run, and no --block-length where --bypass-ber leaves the
+# link flags unread.  Each case must end in an exit code, never a traceback.
+_EXTREME_BASES = {
+    "sweep": ["sweep", "--trials", "1000", "--block-length", "40"],
+    "qsdc": ["qsdc", "-n", "2", "-m", "20", "--payload", "1", "--block-length", "40"],
+    "shor-curve": ["shor-curve", "--trials", "1000"],
+    "teleport-demo": ["teleport-demo"],
+}
+_EXTREME_FLAGS = [
+    *(("sweep", flag) for flag in
+      ("--zeta", "--p0", "--d", "--bypass-ber", "--snr-grid", "--p-eq")),
+    *(("qsdc", flag) for flag in
+      ("--zeta", "--p0", "--d", "--threshold", "--p-e", "--snr-db", "--bypass-ber")),
+    ("shor-curve", "--p-eq"),
+    ("teleport-demo", "--p-e"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-200", "1e308"])
+@pytest.mark.parametrize("command,flag", _EXTREME_FLAGS)
+def test_cli_float_flags_at_extreme_values_end_in_an_exit_code(capsys, command, flag, value):
+    base = _EXTREME_BASES[command]
+    if flag == "--bypass-ber":
+        base = base[:-2]  # drop --block-length
+    assert main([*base, f"{flag}={value}"]) in (0, 1, 2)
 
 
 def test_cli_out_of_range_p_eq_exits_1(tmp_path, capsys):
