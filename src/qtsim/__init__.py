@@ -30,7 +30,6 @@ from .qstate import (
     tensor,
 )
 from .teleport import (
-    BellOutcome,
     DEFAULT_TEST_STATE,
     TeleportResult,
     receiver_correct,

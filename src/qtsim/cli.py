@@ -349,6 +349,8 @@ def _cmd_teleport_demo(args) -> int:
     the sender's uniform (m1, m2) outcomes are drawn as flags and bits, and
     the bits arrive as sent.
     """
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xDE40)))
     depol = DepolarizingParams.from_total(args.p_eq)
     n = args.trials

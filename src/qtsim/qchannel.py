@@ -18,10 +18,11 @@ least 0.10.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .qstate import (
     PHI_PLUS,
+    BellKind,
     PauliError,
     StateVector,
     apply_gate,
@@ -31,7 +32,6 @@ from .qstate import (
     measure_qubit,
     tensor,
 )
-from .teleport import BellOutcome
 
 __all__ = [
     "PauliError",
@@ -46,6 +46,13 @@ __all__ = [
 
 # Minimum additive boost an eavesdropper is assumed to cause.
 MIN_EVE_BOOST = 0.10
+
+# The EveModel fields that each mode reads; the others must keep their defaults.
+EVE_MODE_READS = {
+    "none": (),
+    "swap": ("intercept_fraction",),
+    "depolarize_boost": ("delta_pe",),
+}
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,7 @@ class EveModel:
 
     mode 'none': no attack; 'swap': intercept/entanglement-swap a fraction of
     pairs; 'depolarize_boost': raise channel P_eq by delta_pe (>= 0.10).
+    A field that the mode does not read is refused unless it is at its default.
     """
 
     mode: str = "none"
@@ -83,12 +91,19 @@ class EveModel:
     delta_pe: float = MIN_EVE_BOOST
 
     def __post_init__(self):
-        if self.mode not in ("none", "swap", "depolarize_boost"):
+        if self.mode not in EVE_MODE_READS:
             raise ValueError(f"unknown eve mode {self.mode!r}")
         if not 0.0 <= self.intercept_fraction <= 1.0:
             raise ValueError("intercept_fraction must be in [0, 1]")
         if not 0.0 <= self.delta_pe <= 1.0:
             raise ValueError("delta_pe must be in [0, 1]")
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in ("mode", *EVE_MODE_READS[self.mode])
+            and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise ValueError(f"eve mode {self.mode} does not read {', '.join(unread)}")
         if self.mode == "depolarize_boost" and self.delta_pe < MIN_EVE_BOOST:
             raise ValueError(
                 f"boost mode assumes the eavesdropper adds at least "
@@ -139,13 +154,13 @@ def depolarize_qubit(
     return apply_pauli(state, qubit, err), err
 
 
-def eve_entanglement_swap(pair: StateVector, rng) -> tuple[StateVector, BellOutcome]:
+def eve_entanglement_swap(pair: StateVector, rng) -> tuple[StateVector, BellKind]:
     """Intercept/entanglement-swap attack on a transiting pair half.
 
     Eve holds a fresh pair (C, D), captures the transiting qubit B, performs
     a Bell-basis measurement on (B, D) and forwards C to the receiver.  The
     returned 2-qubit state is the surviving (sender-half, C) pair; the
-    BellOutcome is Eve's measurement record (phase bit, parity bit).
+    BellKind is Eve's measurement record (phase bit, parity bit).
     """
     if pair.n_qubits != 2:
         raise ValueError("eve_entanglement_swap expects a 2-qubit pair")
@@ -156,7 +171,7 @@ def eve_entanglement_swap(pair: StateVector, rng) -> tuple[StateVector, BellOutc
     od = measure_qubit(ob.post_state, 3, rng)
     s = discard_qubit(od.post_state, 3, od.bit)
     s = discard_qubit(s, 1, ob.bit)
-    return s, BellOutcome(ob.bit, od.bit)
+    return s, BellKind(ob.bit, od.bit)
 
 
 def effective_params(base: DepolarizingParams, eve: EveModel) -> DepolarizingParams:

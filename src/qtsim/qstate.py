@@ -44,6 +44,13 @@ class PauliError(enum.Enum):
     Z = "Z"
 
 
+# The one Pauli of each (x, z) frame-flag pair: Y is an X flip and a Z flip.
+PAULI_FROM_FLAGS = {
+    (0, 0): PauliError.I, (1, 0): PauliError.X,
+    (0, 1): PauliError.Z, (1, 1): PauliError.Y,
+}
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitude register over ``n_qubits`` qubits.
@@ -82,7 +89,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class BellKind:
-    """Selector for one of the four Bell states.
+    """Selector for one of the four Bell states, and a Bell measurement's record.
 
     ``phase_bit`` picks the relative sign, ``parity_bit`` picks whether the
     two qubits agree or disagree in the computational basis.

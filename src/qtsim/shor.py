@@ -44,6 +44,7 @@ from .qchannel import DepolarizingParams, sample_pauli_flags
 from .qstate import (
     CapacityError,
     MAX_QUBITS,
+    PAULI_FROM_FLAGS,
     PauliError,
     StateVector,
     apply_gate,
@@ -162,10 +163,7 @@ def shor_decode(
 
     phase_majority = bits[3] & bits[6]
     leader_flips = (bits[1] & bits[2]) ^ (bits[4] & bits[5]) ^ (bits[7] & bits[8])
-    if phase_majority:
-        state = apply_gate(state, "X", q[0])
-    if leader_flips:
-        state = apply_gate(state, "Z", q[0])
+    state = apply_pauli(state, q[0], PAULI_FROM_FLAGS[phase_majority, leader_flips])
 
     for pos in sorted(range(1, 9), key=lambda p: q[p], reverse=True):
         state = discard_qubit(state, q[pos], bits[pos])
@@ -189,16 +187,9 @@ def classify_pattern(pattern: PauliPattern) -> SyndromeResult:
         (xs[p1] ^ xs[lead], xs[p2] ^ xs[lead]) != (0, 0)
         for lead, p1, p2 in TRIPLES
     ) or any(phase_parity[0] ^ phase_parity[b] for b in (1, 2))
-
-    if logical_x and logical_z:
-        residual = PauliError.Y
-    elif logical_x:
-        residual = PauliError.X
-    elif logical_z:
-        residual = PauliError.Z
-    else:
-        residual = PauliError.I
-    return SyndromeResult(corrected=syndrome_fired, logical_error=residual)
+    return SyndromeResult(
+        corrected=syndrome_fired, logical_error=PAULI_FROM_FLAGS[logical_x, logical_z]
+    )
 
 
 def _decode_tables() -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,10 @@ over the link first.  Sessions, teleport sweeps and ``qtsim teleport-demo``
 all run these.
 
 Classical bit order on the wire is (m1, m2) with m1 the measurement of the
-Hadamard-ed payload qubit.  The correction for outcome (1, 1) is X first,
-then Z - the unique order that restores |psi> from a|1> - b|0>.
+Hadamard-ed payload qubit: the pair is the measured Bell state's
+``BellKind`` (phase_bit, parity_bit).  The receiver corrects by the Pauli
+``PAULI_FROM_FLAGS[m2, m1]``.  For outcome (1, 1) that is Y, applied as X
+first, then Z - the unique order that restores |psi> from a|1> - b|0>.
 """
 from __future__ import annotations
 
@@ -25,7 +27,9 @@ import numpy as np
 
 from .link import send_bits
 from .qstate import (
+    PAULI_FROM_FLAGS,
     PHI_PLUS,
+    BellKind,
     PauliError,
     StateVector,
     apply_gate,
@@ -50,20 +54,8 @@ DEFAULT_TEST_STATE = StateVector(
 
 
 @dataclass(frozen=True)
-class BellOutcome:
-    """The two classical bits produced by the sender's Bell measurement."""
-
-    m1: int
-    m2: int
-
-    def __post_init__(self):
-        if self.m1 not in (0, 1) or self.m2 not in (0, 1):
-            raise ValueError("BellOutcome bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class TeleportResult:
-    outcome: BellOutcome
+    outcome: BellKind
     receiver_state: StateVector
     fidelity_to_input: float
 
@@ -77,7 +69,7 @@ def is_inexact(fidelity):
     return fidelity < 1.0 - ERROR_FIDELITY_TOL
 
 
-def sender_measure(joint: StateVector, rng) -> tuple[BellOutcome, StateVector]:
+def sender_measure(joint: StateVector, rng) -> tuple[BellKind, StateVector]:
     """Sender-side Bell measurement on qubits 0 and 1 of a 3-qubit state.
 
     Applies CNOT(0 -> 1) then H on qubit 0, measures both, and returns the
@@ -91,23 +83,12 @@ def sender_measure(joint: StateVector, rng) -> tuple[BellOutcome, StateVector]:
     o2 = measure_qubit(o1.post_state, 1, rng)
     residual = discard_qubit(o2.post_state, 1, o2.bit)
     residual = discard_qubit(residual, 0, o1.bit)
-    return BellOutcome(o1.bit, o2.bit), residual
+    return BellKind(o1.bit, o2.bit), residual
 
 
-def receiver_correct(qubit3: StateVector, outcome: BellOutcome) -> StateVector:
+def receiver_correct(qubit3: StateVector, outcome: BellKind) -> StateVector:
     """Receiver-side conditional correction: 00 -> I, 01 -> X, 10 -> Z, 11 -> X then Z."""
-    state = qubit3
-    if outcome.m2 == 1:
-        state = apply_gate(state, "X", 0)
-    if outcome.m1 == 1:
-        state = apply_gate(state, "Z", 0)
-    return state
-
-
-PAULI_FROM_FLAGS = {
-    (0, 0): PauliError.I, (1, 0): PauliError.X,
-    (0, 1): PauliError.Z, (1, 1): PauliError.Y,
-}  # keyed by (x, z) frame flags
+    return apply_pauli(qubit3, 0, PAULI_FROM_FLAGS[outcome.parity_bit, outcome.phase_bit])
 
 
 def teleport_fidelity(amplitudes, pair_x, pair_z, sent, received) -> np.ndarray:
@@ -168,8 +149,8 @@ def teleport_once(
     pair = make_bell(PHI_PLUS)
     pair = apply_pauli(pair, 1, pauli_on_pair)
     outcome, residual = sender_measure(tensor(psi, pair), rng)
-    received = BellOutcome(
-        outcome.m1 ^ classical_error[0], outcome.m2 ^ classical_error[1]
+    received = BellKind(
+        outcome.phase_bit ^ classical_error[0], outcome.parity_bit ^ classical_error[1]
     )
     corrected = receiver_correct(residual, received)
     return TeleportResult(outcome, corrected, fidelity(corrected, psi))

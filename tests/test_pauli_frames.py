@@ -24,6 +24,7 @@ from qtsim.qsdc import (
     verify_virtual,
 )
 from qtsim.qstate import (
+    PAULI_FROM_FLAGS,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
@@ -40,7 +41,6 @@ from qtsim.shor import PauliPattern, apply_pattern, exact_logical_rate, shor_dec
 from qtsim.sweeps import SweepSpec, run_sweep
 from qtsim.teleport import (
     DEFAULT_TEST_STATE,
-    PAULI_FROM_FLAGS,
     teleport_errors,
     teleport_fidelity,
     teleport_once,
@@ -158,7 +158,7 @@ def test_frame_teleport_verdict_matches_teleport_once(name):
             result = teleport_once(
                 psi, classical_error=error, pauli_on_pair=PAULI_FROM_FLAGS[(x, z)], rng=rng
             )
-            sent = np.array([result.outcome.m1, result.outcome.m2])
+            sent = np.array([result.outcome.phase_bit, result.outcome.parity_bit])
             wrong = teleport_errors(psi.amplitudes, np.array([x]), np.array([z]), sent,
                                     sent ^ error)
             assert wrong.tolist() == [result.is_error], ((x, z), error, result.outcome)

@@ -1,9 +1,12 @@
 """Depolarizing channel sampling rules and eavesdropper models."""
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import qtsim
 from qtsim.metrics import CHI2_CRIT_P001, chi2_statistic
 from qtsim.qchannel import (
     DepolarizingParams,
@@ -17,7 +20,6 @@ from qtsim.qchannel import (
 from qtsim.qstate import (
     PHI_PLUS,
     PSI_PLUS,
-    BellKind,
     PauliError,
     fidelity,
     make_bell,
@@ -50,6 +52,14 @@ def test_eve_model_validation():
         EveModel(mode="swap", intercept_fraction=1.5)
     with pytest.raises(ValueError):
         EveModel(mode="listen")
+    # a field that the mode does not read must keep its default
+    for unread in (
+        dict(mode="none", intercept_fraction=0.5),
+        dict(mode="swap", intercept_fraction=0.3, delta_pe=0.5),
+        dict(mode="depolarize_boost", delta_pe=0.2, intercept_fraction=0.7),
+    ):
+        with pytest.raises(ValueError, match="does not read"):
+            EveModel(**unread)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +207,7 @@ def test_swap_forced_outcome_00_leaves_phi_plus():
     pair = make_bell(PHI_PLUS)
     # both Bell-measurement bits forced to 0 (u >= 0.5 each)
     swapped, eve = eve_entanglement_swap(pair, ScriptedRng([0.9, 0.9]))
-    assert (eve.m1, eve.m2) == (0, 0)
+    assert (eve.phase_bit, eve.parity_bit) == (0, 0)
     assert fidelity(swapped, make_bell(PHI_PLUS)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -207,7 +217,7 @@ def test_swap_outcome_matches_surviving_bell_state():
     rng = np.random.default_rng(26)
     for _ in range(100):
         swapped, eve = eve_entanglement_swap(pair, rng)
-        expected = make_bell(BellKind(eve.m1, eve.m2))
+        expected = make_bell(eve)
         assert fidelity(swapped, expected) > 1 - 1e-9
 
 
@@ -218,7 +228,7 @@ def test_swap_outcome_distribution_uniform():
     counts = np.zeros(4)
     for _ in range(n):
         _, eve = eve_entanglement_swap(pair, rng)
-        counts[2 * eve.m1 + eve.m2] += 1
+        counts[2 * eve.phase_bit + eve.parity_bit] += 1
     sigma = math.sqrt(n * 0.25 * 0.75)
     assert np.all(np.abs(counts - n / 4) < 4 * sigma)
 
@@ -275,3 +285,24 @@ def test_effective_params_addition():
 def test_effective_params_wrong_mode():
     with pytest.raises(ValueError):
         effective_params(DepolarizingParams.from_total(0.1), EveModel(mode="swap"))
+
+
+# ---------------------------------------------------------------------------
+# layering
+# ---------------------------------------------------------------------------
+
+def test_quantum_layer_imports_no_classical_module():
+    classical = {"teleport", "link", "turbo", "cchannel", "qsdc", "sweeps"}
+    offenders = {}
+    for module in ("qstate", "qchannel", "shor"):
+        source = pathlib.Path(qtsim.__file__).with_name(f"{module}.py").read_text()
+        names = set()
+        for node in ast.parse(source).body:  # module-level statements only
+            if isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(part for alias in node.names for part in alias.name.split("."))
+        if names & classical:
+            offenders[module] = sorted(names & classical)
+    assert offenders == {}

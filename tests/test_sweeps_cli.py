@@ -513,6 +513,12 @@ def test_cli_float_flags_at_extreme_values_end_in_an_exit_code(capsys, command, 
     assert main([*base, f"{flag}={value}"]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("command", list(_EXTREME_BASES))
+def test_cli_negative_seed_exits_1_naming_the_flag(capsys, command):
+    assert main([*_EXTREME_BASES[command], "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_out_of_range_p_eq_exits_1(tmp_path, capsys):
     out = tmp_path / "out.csv"
     for p_eq in ("1.5", "-0.1", "nan"):

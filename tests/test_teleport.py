@@ -6,6 +6,7 @@ import pytest
 
 from qtsim.qstate import (
     PHI_PLUS,
+    BellKind,
     PauliError,
     StateVector,
     apply_gate,
@@ -16,7 +17,6 @@ from qtsim.qstate import (
 )
 from qtsim.teleport import (
     DEFAULT_TEST_STATE,
-    BellOutcome,
     receiver_correct,
     sender_measure,
     teleport_once,
@@ -46,13 +46,13 @@ def _joint(alpha=ALPHA, beta=BETA):
 def test_sender_measure_outcome_00_residual():
     # u >= P(bit=1) = 0.5 selects bit 0 on both measurements
     outcome, residual = sender_measure(_joint(), ScriptedRng([0.9, 0.9]))
-    assert (outcome.m1, outcome.m2) == (0, 0)
+    assert (outcome.phase_bit, outcome.parity_bit) == (0, 0)
     assert np.allclose(residual.amplitudes, [ALPHA, BETA], atol=1e-9)
 
 
 def test_sender_measure_outcome_11_residual():
     outcome, residual = sender_measure(_joint(), ScriptedRng([0.1, 0.1]))
-    assert (outcome.m1, outcome.m2) == (1, 1)
+    assert (outcome.phase_bit, outcome.parity_bit) == (1, 1)
     # residual must be a|1> - b|0>
     assert np.allclose(residual.amplitudes, [-BETA, ALPHA], atol=1e-9)
 
@@ -64,7 +64,7 @@ def test_sender_measure_outcome_distribution():
     joint = _joint()
     for _ in range(n):
         outcome, _ = sender_measure(joint, rng)
-        counts[2 * outcome.m1 + outcome.m2] += 1
+        counts[2 * outcome.phase_bit + outcome.parity_bit] += 1
     sigma = math.sqrt(n * 0.25 * 0.75)
     for k in range(4):
         assert abs(counts[k] - n / 4) < 4 * sigma
@@ -81,26 +81,26 @@ def test_sender_measure_needs_three_qubits():
 
 def test_correct_01_applies_x():
     wrong = StateVector(1, [BETA, ALPHA])  # a|1> + b|0>
-    fixed = receiver_correct(wrong, BellOutcome(0, 1))
+    fixed = receiver_correct(wrong, BellKind(0, 1))
     assert np.allclose(fixed.amplitudes, [ALPHA, BETA])
 
 
 def test_correct_10_applies_z():
     wrong = StateVector(1, [ALPHA, -BETA])  # a|0> - b|1>
-    fixed = receiver_correct(wrong, BellOutcome(1, 0))
+    fixed = receiver_correct(wrong, BellKind(1, 0))
     assert np.allclose(fixed.amplitudes, [ALPHA, BETA])
 
 
 def test_correct_11_applies_x_then_z():
     wrong = StateVector(1, [-BETA, ALPHA])  # a|1> - b|0>
-    fixed = receiver_correct(wrong, BellOutcome(1, 1))
+    fixed = receiver_correct(wrong, BellKind(1, 1))
     assert np.allclose(fixed.amplitudes, [ALPHA, BETA])
 
 
 def test_correct_00_is_identity():
     rng = np.random.default_rng(11)
     psi = random_state(1, rng)
-    assert np.allclose(receiver_correct(psi, BellOutcome(0, 0)).amplitudes, psi.amplitudes)
+    assert np.allclose(receiver_correct(psi, BellKind(0, 0)).amplitudes, psi.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_fidelity_independent_of_outcome():
     seen = {}
     for _ in range(200):
         result = teleport_once(psi, rng=rng)
-        seen[(result.outcome.m1, result.outcome.m2)] = result.fidelity_to_input
+        seen[(result.outcome.phase_bit, result.outcome.parity_bit)] = result.fidelity_to_input
     assert set(seen) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert all(f > 1 - 1e-9 for f in seen.values())
 
@@ -175,11 +175,11 @@ def test_basis_states_teleport_exactly_under_any_outcome():
         seen = set()
         for _ in range(100):
             result = teleport_once(basis_state(1, index), rng=rng)
-            seen.add((result.outcome.m1, result.outcome.m2))
+            seen.add((result.outcome.phase_bit, result.outcome.parity_bit))
             assert result.fidelity_to_input > 1 - 1e-9
         assert len(seen) == 4
 
 
 def test_bell_outcome_validation():
     with pytest.raises(ValueError):
-        BellOutcome(2, 0)
+        BellKind(2, 0)
