@@ -119,7 +119,10 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -162,7 +165,7 @@ def build_parser() -> _Parser:
     _add_run_flags(p_sweep)
     _add_link_flags(p_sweep)
     p_sweep.add_argument("--kind", choices=_SWEEP_COMMAND_KINDS, default="qber_vs_snr")
-    p_sweep.add_argument("--trials", type=int, default=None,
+    p_sweep.add_argument("--trials", type=_positive_int, default=None,
                          help="per point, >= 1000 (default: 100000)")
     p_sweep.add_argument("--snr-grid", dest="snr_grid_db", type=_floats, default=(math.inf,),
                          help="comma list of Es/N0 points in dB "
@@ -183,7 +186,8 @@ def build_parser() -> _Parser:
     p_qsdc.add_argument("-n", "--pairs", type=int, default=16, dest="n_pairs")
     p_qsdc.add_argument("-m", "--virtual", type=int, default=100, dest="m_virtual")
     p_qsdc.add_argument("--threshold", type=float, default=None)
-    p_qsdc.add_argument("--sessions", type=int, default=SWEEP_KIND_READS["qsdc_batch"].trials)
+    p_qsdc.add_argument("--sessions", type=_positive_int,
+                        default=SWEEP_KIND_READS["qsdc_batch"].trials)
     p_qsdc.add_argument("--payload", type=int, default=0,
                         help="random payload qubits per session")
     p_qsdc.add_argument("--p-e", type=float, default=0.0, dest="p_eq", help=_P_E_HELP)
@@ -198,7 +202,8 @@ def build_parser() -> _Parser:
 
     p_shor = sub.add_parser("shor-curve", help="decoded-error curve")
     _add_run_flags(p_shor)
-    p_shor.add_argument("--trials", type=int, default=SWEEP_KIND_READS["shor_curve"].trials)
+    p_shor.add_argument("--trials", type=_positive_int,
+                        default=SWEEP_KIND_READS["shor_curve"].trials)
     p_shor.add_argument("--p-eq", dest="p_eq_list", type=_floats,
                         default=(0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.105, 0.15, 0.2),
                         help="comma list of channel error probabilities")

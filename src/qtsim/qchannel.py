@@ -18,7 +18,7 @@ least 0.10.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .qstate import (
     PHI_PLUS,
@@ -53,6 +53,19 @@ EVE_MODE_READS = {
     "swap": ("intercept_fraction",),
     "depolarize_boost": ("delta_pe",),
 }
+
+
+def unread_fields(config, reads) -> list[str]:
+    """The fields of the dataclass ``config`` outside ``reads`` that are off their defaults.
+
+    A config refuses these: a value that its mode never reads would be
+    silently ignored.  ``EveModel``, ``qsdc.QsdcConfig`` and
+    ``sweeps.SweepSpec`` share this rule.
+    """
+    return [
+        f.name for f in fields(config) if f.name not in reads and getattr(config, f.name) != (
+            f.default_factory() if f.default is MISSING else f.default)
+    ]
 
 
 @dataclass(frozen=True)
@@ -97,11 +110,7 @@ class EveModel:
             raise ValueError("intercept_fraction must be in [0, 1]")
         if not 0.0 <= self.delta_pe <= 1.0:
             raise ValueError("delta_pe must be in [0, 1]")
-        unread = [
-            f.name for f in fields(self)
-            if f.name not in ("mode", *EVE_MODE_READS[self.mode])
-            and getattr(self, f.name) != f.default
-        ]
+        unread = unread_fields(self, ("mode", *EVE_MODE_READS[self.mode]))
         if unread:
             raise ValueError(f"eve mode {self.mode} does not read {', '.join(unread)}")
         if self.mode == "depolarize_boost" and self.delta_pe < MIN_EVE_BOOST:

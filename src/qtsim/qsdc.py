@@ -44,11 +44,17 @@ from functools import lru_cache
 import numpy as np
 
 from .cchannel import RicianParams, noise_variance
-from .qchannel import MIN_EVE_BOOST, NO_EVE, DepolarizingParams, EveModel, effective_params
+from .qchannel import (
+    MIN_EVE_BOOST, NO_EVE, DepolarizingParams, EveModel, effective_params, unread_fields,
+)
 from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
 from .shor import exact_logical_rate, transit_flags
 from .teleport import teleport_frames
 from .turbo import TurboConfig
+
+
+# The fields of the classical link, which a session with classical_bypass_ber leaves unread.
+_LINK_FIELDS = ("snr_db", "rician", "turbo", "use_turbo")
 
 
 class ProtocolError(RuntimeError):
@@ -89,6 +95,16 @@ class QsdcConfig:
             raise ValueError(
                 f"classical_bypass_ber must lie in [0, 1], got {self.classical_bypass_ber}"
             )
+        # bit flips replace the whole link, and an uncoded link has no turbo code
+        mode, skipped = "", ()
+        if self.classical_bypass_ber is not None:
+            mode, skipped = "with classical_bypass_ber", _LINK_FIELDS
+        elif not self.use_turbo:
+            mode, skipped = "without use_turbo", ("turbo",)
+        if skipped:
+            unread = unread_fields(self, {f.name for f in dataclasses.fields(self)} - {*skipped})
+            if unread:
+                raise ValueError(f"a session {mode} does not read {', '.join(unread)}")
         if self.m_virtual < 20:
             warnings.warn(
                 f"m_virtual = {self.m_virtual} gives coarse detection; "

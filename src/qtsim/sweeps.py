@@ -36,7 +36,7 @@ import math
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from typing import Callable, NamedTuple
@@ -46,7 +46,7 @@ import numpy as np
 from .cchannel import COHERENCE_MODES, RicianParams, noise_variance
 from .link import send_bits
 from .metrics import MetricAccumulator
-from .qchannel import DepolarizingParams, EveModel, NO_EVE
+from .qchannel import DepolarizingParams, EveModel, NO_EVE, unread_fields
 from .qsdc import QsdcConfig, QsdcReport, resolve_threshold, run_session
 from .qstate import random_state
 from .shor import (
@@ -175,10 +175,7 @@ class SweepSpec:
         elif not self.use_turbo:
             mode, skipped = " without use_turbo", {"turbo"}
         reads = {*_RUN_FIELDS, *SWEEP_KIND_READS[self.sweep_kind].fields} - skipped
-        unread = [
-            f.name for f in fields(self) if f.name not in reads and getattr(self, f.name) != (
-                f.default_factory() if f.default is MISSING else f.default)
-        ]
+        unread = unread_fields(self, reads)
         if unread:
             mode = mode if skipped & set(unread) else ""
             raise ValueError(

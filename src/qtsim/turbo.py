@@ -75,9 +75,18 @@ extrinsic LLRs and the first T/2 + 1 rows of the recursion; the later rows
 are made ``SLAB`` = 16 steps at a time and used at once, as in Schurgers,
 Catthoor & Engels, "Memory optimization of MAP turbo decoder algorithms"
 (IEEE T-VLSI 9(2), 2001).  That is about 131 KiB per block at K = 1024, half
-of it the kept rows: 16.3 MiB for a 128-block sweep chunk.  A windowed pass
+of it the kept rows: 16.4 MiB for a 128-block sweep chunk.  A windowed pass
 keeps all T rows, the S unit vectors of every window over half of it, and
-one posterior slab of all T steps: 1.6 MiB for one block.
+one posterior slab of all T steps: 1.8 MiB for one block.  The same arrays
+lend every scratch array of a pass (the butterfly products and step sums of
+``_advance``; the transfers, chain, shifts, coefficients and running maxima
+of ``_window_starts``), and every gather reads its rows in place, so a pass
+allocates nothing that grows with it but the posterior it returns.  The
+index arrays of a pass depend only on the code and the pass length, so they
+are built once per process and shared read-only: the butterfly gather index
+(``_butterfly_index``, 4 S per step: 263 KB at T = 1027, S = 8), the beta
+gather index of the extrinsic (``_beta_index``, from
+``RscTrellis.next_reversed``) and the half-window index (``_half_windows``).
 ``turbo_decode_batch`` frees each of its arrays once it is spent, and the
 channel LLRs once it has copied the streams it reads, unless the caller
 keeps them (``link.send_bits`` does not), so that no spent array sits
@@ -160,13 +169,17 @@ class RscTrellis:
         # Bit reversal maps 2j + p to p * S/2 + rev(j) and a * S/2 + j to
         # 2 rev(j) + a, so a backward step over bit-reversed states reads and
         # writes the same [input, j] and [output, j] views as a forward step
-        # over natural states.  butterfly[d, i, o, j] is the branch index of
+        # over natural states.  butterfly[i, d, o, j] is the branch index of
         # output o from input i in direction d (0 forward, 1 backward).
         self.bit_reversed = np.array(
             [int(format(s, f"0{self.memory}b")[::-1], 2) for s in range(self.n_states)]
         )
         backward = forward[:, :, self.bit_reversed[:half] // 2].transpose(1, 0, 2)
-        self.butterfly = np.stack([forward, backward]).astype(np.intp)
+        self.butterfly = np.stack([forward, backward], axis=1).astype(np.intp)
+        # next_reversed[x, s]: the bit-reversed row of next_state[x, s], where
+        # the extrinsic reads beta; shared by every pass, so read-only
+        self.next_reversed = self.bit_reversed[self.next_state]
+        self.next_reversed.flags.writeable = False
         # units[d, :, n]: state n as a vector over the states of direction d
         eye = np.eye(self.n_states)
         self.units = np.stack([eye, eye[self.bit_reversed]])
@@ -341,17 +354,20 @@ SLAB = 16
 # larger bound would change the rounding of decodes of 5 to 8 blocks):
 WINDOWED_COLUMNS = 256
 WINDOW_FLOOR = 300.0
+# The floor of every logarithm of a merge or a metric: log(0) never occurs.
+_TINY = np.finfo(float).tiny
 
 
-def _window_count(batch: int, steps: int, n_states: int) -> int:
+def _window_count(batch: int, steps: int, n_states: int, merge=np.add) -> int:
     """Trellis windows W of a ``_log_map`` pass over ``steps`` steps of ``batch`` blocks.
 
     About sqrt(T) windows of about sqrt(T) steps, which balances the
     half-window steps of the two phases against the W - 1 steps of the
     combine; one window once the S unit vectors per block cost more than
-    the T/2 steps of the sequential recursion save.
+    the T/2 steps of the sequential recursion save.  The combine is a
+    (+, x) matrix product, so a max-log pass (``merge=np.maximum``) runs one.
     """
-    if batch * n_states ** 2 > WINDOWED_COLUMNS:
+    if merge is not np.add or batch * n_states ** 2 > WINDOWED_COLUMNS:
         return 1
     return max(1, math.isqrt(steps))
 
@@ -362,7 +378,10 @@ class _LogMapBuffers:
     One batch decode makes all its constituent passes in the same arrays,
     so its working set is allocated and paged in once, not once per pass:
     the largest arrays (several MB at K = 1024, B = 128) would otherwise be
-    mapped afresh by the allocator and page-faulted in by every pass.
+    mapped afresh by the allocator and page-faulted in by every pass, and
+    the many small ones of a pass of few blocks would cost more call
+    overhead than arithmetic.  A pass allocates nothing that grows with it
+    but its posterior.
     Every array is flat storage: the per-block arrays are viewed at the
     batch of the current pass (``set_batch``), so a decode whose batch
     shrinks keeps its arrays, and the windowed arrays are viewed by each
@@ -372,11 +391,20 @@ class _LogMapBuffers:
 
     Per block, in doubles, over T steps and S states: the branch table 4 T,
     the parity factors 2 T and the extrinsic LLRs T.  With one window, the
-    kept rows 2 S (T/2 + 1) and about 10 S ``SLAB`` in the slab arrays: at
-    T = 1027 and S = 8, 133,928 bytes a block, half of them the kept rows,
-    and 16.3 MiB for B = 128.  With more, all 2 S T rows, a posterior slab
-    of (4 S + 2) T, and 2 S**2 + 14 S + 16 per row of the half-windows'
-    span T/2 + 2 W: 1,652,184 bytes (1.6 MiB) for B = 1 and W = 32.
+    kept rows 2 S (T/2 + 1), about 10 S ``SLAB`` in the slab arrays, and
+    ``_advance``'s butterfly products 4 S and step sums 2 ``SLAB``: at
+    T = 1027 and S = 8, 134,440 bytes a block, half of them the kept rows,
+    and 16.4 MiB for B = 128.  With more, all 2 S T rows and a posterior
+    slab of (4 S + 2) T; per row of the half-windows' span T/2 + 2 W,
+    2 S**2 + 14 S + 30 (the half-windows' branch table and the copy of its
+    phase-1 half, their rows, scales and gathered factors, phase 2's step
+    sums, and the log-scale column of ``_window_starts``); and per window
+    9 S**2 + 14 S + 4 (phase 1's products, and the transfers, chain, shifts,
+    coefficients and running maxima of ``_window_starts``, ``combine``):
+    1,894,088 bytes (1.8 MiB) for B = 1 and W = 32.  The index arrays of a
+    pass are not here: they depend only on the code and the pass length,
+    and are built once per process (``_butterfly_index``, ``_beta_index``,
+    ``_half_windows``).
     """
 
     def __init__(self, batch: int, max_steps: int, n_states: int,
@@ -403,14 +431,37 @@ class _LogMapBuffers:
                          for name, shape in self._shapes.items()}
         self.batch = None
         self.set_batch(batch)
+        self._views = {}
         # W windows of 2h steps, h = ceil(T / 2W), have (h + 1) W <= T/2 + 2W
-        # rows per half; phase 2 runs twice as many columns as phase 1.
-        span = (max_steps // 2 + 2 * max_windows) * batch if max_windows > 1 else 0
-        self.window_branch = np.empty(16 * span)
+        # rows per half; phase 2 runs twice as many columns as phase 1, and
+        # phase 1 S columns per window and block.
+        windowed = max_windows > 1
+        span = (max_steps // 2 + 2 * max_windows) * batch if windowed else 0
+        per_window = max_windows * batch if windowed else 0
+        self.window_branch = np.empty(24 * span)
         self.unit_rows = np.empty(2 * n_states ** 2 * span)
         self.scales = np.empty(2 * n_states * span)
         self.window_rows = np.empty(4 * n_states * span)
         self.gathered = np.empty(max(SLAB * 4 * n_states * batch, 8 * n_states * span))
+        self.products = np.empty(4 * n_states * max(batch, n_states * per_window))
+        self.step_sums = np.empty(max(2 * SLAB * batch, 4 * span))
+        self.combine = np.empty((5 * n_states ** 2 + 14 * n_states + 4) * per_window
+                                + (2 * n_states * batch + 2 * span if windowed else 0))
+
+    def carve(self, name: str, *shapes) -> list[np.ndarray]:
+        """C-contiguous views of ``shapes``, one after another from the front of
+        the flat array ``name``: made at the first pass of these shapes, then kept.
+        """
+        key = (name, shapes)
+        views = self._views.get(key)
+        if views is None:
+            views, start = [], 0
+            for shape in shapes:
+                size = math.prod(shape)
+                views.append(getattr(self, name)[start:start + size].reshape(shape))
+                start += size
+            self._views[key] = views
+        return views
 
     def set_batch(self, batch: int) -> None:
         """View the per-block arrays, batch last, for passes of ``batch`` blocks."""
@@ -439,8 +490,23 @@ def _shaped(flat, *shape):
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scales=None,
-             merge=np.add) -> None:
+@lru_cache(maxsize=32)
+def _butterfly_index(trellis: RscTrellis, steps: int) -> np.ndarray:
+    """(T, 2, 2, 2, S/2) branch-table rows of the butterflies of a pass over T steps.
+
+    ``[k, i, d, o, j]`` is the row of the factor from input i to output o of
+    butterfly j in direction d of step k: forward trellis step k, backward
+    step T - 1 - k.  Input-major, so that each step's products of input 0
+    and of input 1 are contiguous halves.  Shared by every call, so read-only.
+    """
+    k = np.arange(steps)[:, None, None, None, None]
+    index = 4 * np.concatenate([k, steps - 1 - k], axis=2) + trellis.butterfly
+    index.flags.writeable = False
+    return index
+
+
+def _advance(rows, branch, trellis: RscTrellis, first_step: int, work: _LogMapBuffers,
+             scales=None, merge=np.add) -> None:
     """Fill ``rows[1:]`` from ``rows[0]``, row i + 1 by step ``first_step + i``.
 
     A row holds (alpha_k, beta_{T-k}) over the states, beta's bit-reversed,
@@ -450,28 +516,27 @@ def _advance(rows, branch, trellis: RscTrellis, first_step: int, gathered, scale
     max-log), then rescales both to sum 1.  ``branch`` holds rows
     4t + 2*input + parity, its columns those of the last axis of ``rows``;
     ``rows`` may have one more axis before that one, across which the
-    factors are shared.  ``gathered`` (a flat buffer) receives the factors
-    of each step's butterflies, and ``scales``, if given, each step's state
-    sums.
+    factors are shared.  ``work`` lends the factors of each step's
+    butterflies and their products, and the step sums, which ``scales``
+    receives instead if given.
     """
     n_rows, _, n_states, *cols = rows.shape
     half = n_states // 2
     batch = branch.shape[1]
-    inputs = rows.reshape(n_rows, 2, half, 2, *cols).swapaxes(2, 3)[:, :, :, None]
+    # [k, i, d, 1, j, ...]: the state 2j + i of direction d in row k
+    inputs = rows.reshape(n_rows, 2, half, 2, *cols).swapaxes(1, 3).swapaxes(2, 3)[:, :, :, None]
     outputs = rows.reshape(n_rows, 2, 2, half, *cols)
-    k = np.arange(first_step, first_step + n_rows - 1)[:, None, None, None]
-    last = branch.shape[0] // 4 - 1
-    g = np.take(branch, 4 * np.stack([k, last - k], axis=1) + trellis.butterfly, axis=0,
-                out=_shaped(gathered, n_rows - 1, 2, 2, 2, half, batch),
-                mode="clip")  # [k, d, i, o, j, b]
+    index = _butterfly_index(trellis, branch.shape[0] // 4)[first_step:first_step + n_rows - 1]
+    g = branch.take(index, axis=0, out=_shaped(work.gathered, *index.shape, batch),
+                    mode="clip")  # [k, i, d, o, j, b]
     g = g.reshape(g.shape[:5] + (1,) * (len(cols) - 1) + (batch,))
-    prod = np.empty((2, 2, 2, half, *cols))
+    prod = _shaped(work.products, 2, 2, 2, half, *cols)
     if scales is None:
-        scales = np.empty((n_rows - 1, 2, 1, *cols))
+        scales = _shaped(work.step_sums, n_rows - 1, 2, 1, *cols)
     multiply, divide, add_reduce = np.multiply, np.divide, np.add.reduce
     for i, g_k in enumerate(g):
         multiply(g_k, inputs[i], out=prod)
-        merge(prod[:, 0], prod[:, 1], out=outputs[i + 1])
+        merge(prod[0], prod[1], out=outputs[i + 1])
         nxt, total = rows[i + 1], scales[i]
         add_reduce(nxt, axis=1, keepdims=True, out=total)
         divide(nxt, total, out=nxt)
@@ -515,110 +580,149 @@ def _windowed_rows(low, branch, trellis: RscTrellis, windows: int, work: _LogMap
     steps, _, n_states, batch = low.shape
     half, windows, tail, index = _half_windows(steps, windows)
     cols = windows * batch
-    table = np.take(branch, index, axis=0, out=_shaped(work.window_branch, *index.shape, batch))
+    table, first = work.carve("window_branch", (*index.shape, batch),
+                              (2 * half, 4, windows, batch))
+    branch.take(index, axis=0, out=table)
+    np.copyto(first, table[:, :, 0])  # phase 1 runs the c = 0 half-windows
 
     units = _shaped(work.unit_rows, half + 1, 2, n_states, n_states, cols)
     units[0] = trellis.units[..., None]  # column (n, w, b) starts in state n
     scales = _shaped(work.scales, half, 2, 1, n_states, cols)
-    _advance(units, table[:, :, 0].reshape(8 * half, cols), trellis, 0, work.gathered, scales)
+    _advance(units, first.reshape(8 * half, cols), trellis, 0, work, scales)
     rows = _shaped(work.window_rows, half + 1, 2, n_states, 2 * cols)
     _window_starts(units, scales, low[0], tail, trellis,
-                   rows[0].reshape(2, n_states, 2, windows, batch))
-    _advance(rows, table.reshape(8 * half, 2 * cols), trellis, 0, work.gathered)
+                   rows[0].reshape(2, n_states, 2, windows, batch), work)
+    _advance(rows, table.reshape(8 * half, 2 * cols), trellis, 0, work)
     # Row r holds alpha_r and beta_{T-r}: alpha_r from forward row r - 2hw -
     # hc of half-window (w, c); beta_{T-r} from the last window's backward
-    # rows for r < tail, and from window W - 2 - (r - tail) // 2h on.
+    # rows for r < tail, and from window W - 2 - (r - tail) // 2h on.  The
+    # rows of the W - 1 full windows are written through (W - 1, 2, h) views.
     out = rows[:half].reshape(half, 2, n_states, 2, windows, batch).transpose(1, 4, 3, 0, 2, 5)
-    low[:, 0] = out[0].reshape(2 * half * windows, n_states, batch)[:steps]
-    low[tail:, 1] = out[1, -2::-1].reshape(steps - tail, n_states, batch)
+    full = steps - tail
+    low[:full, 0].reshape(windows - 1, 2, half, n_states, batch)[...] = out[0, :-1]
+    low[full:full + half, 0] = out[0, -1, 0, :tail]
+    low[full + half:, 0] = out[0, -1, 1, :max(tail - half, 0)]
+    low[tail:, 1].reshape(windows - 1, 2, half, n_states, batch)[...] = out[1, -2::-1]
     low[:min(tail, half), 1] = out[1, -1, 0, :tail]
     low[half:tail, 1] = out[1, -1, 1, 2 * half - tail:half]
 
 
-def _window_starts(units, scales, row0, tail: int, trellis: RscTrellis, out) -> None:
+def _window_starts(units, scales, row0, tail: int, trellis: RscTrellis, out,
+                   work: _LogMapBuffers) -> None:
     """Phase 2's first rows ``out[d, s, c, w, b]`` from phase 1's half transfers.
 
-    ``units`` and ``scales`` are phase 1's rows and step sums, ``row0`` the
-    pass's row 0 and ``tail`` the steps of its last window.  A backward
-    transfer over some steps is the transpose of the forward one over them,
-    so a window's forward transfer is the product of its two half transfers
-    and its backward transfer the transpose of that.  The window boundaries
-    (c = 0) are chained in order in the log domain, each coefficient floored
-    at exp(-WINDOW_FLOOR) of the largest, and the midpoints (c = 1) read off
+    ``units`` and ``scales`` are phase 1's rows and step sums (the sums are
+    spent: their logarithms replace them), ``row0`` the pass's row 0 and
+    ``tail`` the steps of its last window.  A backward transfer over some
+    steps is the transpose of the forward one over them, so a window's
+    forward transfer is the product of its two half transfers and its
+    backward transfer the transpose of that.  The window boundaries (c = 0)
+    are chained in order in the log domain, each coefficient floored at
+    exp(-WINDOW_FLOOR) of the largest, and the midpoints (c = 1) read off
     the half transfers.  A last window shorter than 2h is split into
-    min(tail, h) steps forward and the rest backward.
+    min(tail, h) steps forward and the rest backward.  Its scratch arrays
+    are views of ``work.combine``.
     """
     _, n_states, _, windows, batch = out.shape
     half = scales.shape[0]
     rev = trellis.bit_reversed
+    vec, mat = (batch, n_states, 1), (batch, n_states, n_states)
+    (column, log_sum, halves, flipped, chain, right, left, coef, log_y, mid_in, mids, log_x,
+     peaks, mid_sums) = work.carve(
+        "combine", (half, 2, 1, 1, windows * batch), (2, 1, n_states, windows * batch),
+        (2, windows, *mat), (windows, *mat), (windows, 2, *mat), (windows, 2, *vec),
+        (windows - 1, 2, *vec), (windows, 2, *vec), (windows, 2, *vec), (2, windows, *vec),
+        (2, windows, *vec), (2, *vec), (windows, 2, batch, 1, 1), (2, windows, batch, 1))
     # log_scales relative to the first column's: a constant per half-window
     # cancels below, and the differences sum to small, finely rounded values
-    log_scales = np.log(scales)
-    log_scales -= log_scales[:, :, :, :1]
-    # halves[w, d, b, s, n] and log_scale[w, d, b, n]: window w's half
+    # (the column is copied out first, as it is also overwritten)
+    log_scales = np.log(scales, out=scales)
+    np.copyto(column, log_scales[:, :, :, :1])
+    log_scales -= column
+    # halves[d, w, b, s, n] and log_scale[d, w, b, n]: window w's half
     # transfer from state n, times exp(log_scale), forward over its first
     # half (d = 0) and backward over its second (d = 1, bit-reversed rows)
-    halves = units[half].reshape(2, n_states, n_states, windows, batch).transpose(3, 0, 4, 1, 2)
-    halves = np.ascontiguousarray(halves)
-    log_scale = log_scales.sum(axis=0).reshape(2, n_states, windows, batch).transpose(2, 0, 3, 1)
+    np.copyto(halves, units[half].reshape(2, n_states, n_states, windows, batch)
+              .transpose(0, 3, 4, 1, 2))
+    log_scale = np.add.reduce(log_scales, axis=0, out=log_sum).reshape(
+        2, n_states, windows, batch).transpose(0, 2, 3, 1)
     if tail < 2 * half:
-        split = [min(tail, half), tail - min(tail, half)]
-        halves[-1] = units[split, [0, 1], ..., -batch:].transpose(0, 3, 1, 2)
-        for d, n in enumerate(split):
-            log_scale[-1, d] = log_scales[:n, d, 0, :, -batch:].sum(axis=0).T
+        for d, n in enumerate((min(tail, half), tail - min(tail, half))):
+            halves[d, -1] = units[n, d, ..., -batch:].transpose(2, 0, 1)
+            np.add.reduce(log_scales[:n, d, 0, :, -batch:], axis=0, out=log_scale[d, -1].T)
     # product[w, b, n, u]: window w's forward transfer from u to n, divided
-    # by exp(log_scale[w, 0, b, u] + log_scale[w, 1, b, n]).  Chain step i
+    # by exp(log_scale[0, w, b, u] + log_scale[1, w, b, n]).  Chain step i
     # runs window i forward and window W - 1 - i backward, both over natural
     # states, its input scaled by the right-hand log scale and its output by
     # the left-hand one; the last step's output is not used.
-    product = np.matmul(halves[:, 1].swapaxes(-1, -2), halves[:, 0][:, :, rev])
-    chain = np.stack([product, product[::-1].swapaxes(-1, -2)], axis=1)
-    right = np.stack([log_scale[:, 0], log_scale[::-1, 1]], axis=1)[..., None]
-    left = np.stack([log_scale[:-1, 1], log_scale[:0:-1, 0]], axis=1)[..., None]
+    np.take(halves[0], rev, axis=2, out=flipped)
+    product = np.matmul(halves[1].swapaxes(-1, -2), flipped, out=chain[:, 0])
+    chain[:, 1] = product[::-1].swapaxes(-1, -2)
+    right[:, 0, ..., 0] = log_scale[0]
+    right[:, 1, ..., 0] = log_scale[1, ::-1]
+    left[:, 0, ..., 0] = log_scale[1, :-1]
+    left[:, 1, ..., 0] = log_scale[0, :0:-1]
     right[1:] += left
 
     # coef[i]: chain step i's input coefficients, floored; log_y[i] the log
     # of its output before the left-hand scale
-    coef = np.empty((windows, 2, batch, n_states, 1))
-    log_y = np.empty_like(coef)
-    log_x = row0.transpose(0, 2, 1)[..., None].copy()
-    log_x[1] = log_x[1][:, rev]
-    np.log(np.maximum(log_x, np.finfo(float).tiny, out=log_x), out=log_x)
-    for a, shift, matrix, y in zip(coef, right, chain, log_y):
+    log_x[0, ..., 0] = row0[0].T
+    log_x[1, :, rev, 0] = row0[1]  # bit reversal is its own inverse
+    np.log(np.maximum(log_x, _TINY, out=log_x), out=log_x)
+    for a, shift, matrix, y, peak in zip(coef, right, chain, log_y, peaks):
         np.add(log_x, shift, out=a)
-        a -= np.maximum.reduce(a, axis=-2, keepdims=True)
+        a -= np.maximum.reduce(a, axis=-2, keepdims=True, out=peak)
         np.exp(np.maximum(a, -WINDOW_FLOOR, out=a), out=a)
         log_x = np.log(np.matmul(matrix, a, out=y), out=y)
     bounds = np.add(log_y[:-1], left, out=log_y[:-1])[..., 0]
-    bounds -= bounds.max(axis=-1, keepdims=True)
+    bound_sums = peaks[:-1, ..., 0]
+    bounds -= np.maximum.reduce(bounds, axis=-1, keepdims=True, out=bound_sums)
     np.exp(bounds, out=bounds)
-    bounds /= bounds.sum(axis=-1, keepdims=True)
-    mids = np.matmul(halves, np.stack([coef[:, 0], coef[::-1, 1]], axis=1))[..., 0]
-    mids /= mids.sum(axis=-1, keepdims=True)
+    bounds /= np.add.reduce(bounds, axis=-1, keepdims=True, out=bound_sums)
+    mid_in[0] = coef[:, 0]
+    mid_in[1] = coef[::-1, 1]
+    mids = np.matmul(halves, mid_in, out=mids)[..., 0]
+    mids /= np.add.reduce(mids, axis=-1, keepdims=True, out=mid_sums)
 
     out[:, :, 0, 0] = row0
     out[0, :, 0, 1:] = bounds[:, 0].transpose(2, 0, 1)
     out[1, :, 0, -1] = row0[1]
-    out[1, :, 0, :-1] = bounds[::-1, 1].transpose(2, 0, 1)[rev]
-    out[:, :, 1] = mids.transpose(1, 3, 0, 2)
+    out[1, rev, 0, :-1] = bounds[::-1, 1].transpose(2, 0, 1)
+    out[:, :, 1] = mids.transpose(0, 3, 1, 2)
 
 
-def _extrinsic(alpha, beta_next, parity_factor, trellis: RscTrellis, out,
+@lru_cache(maxsize=64)
+def _beta_index(trellis: RscTrellis, steps: int) -> np.ndarray:
+    """(L, 2, S) gather index of the betas that ``_extrinsic`` reads from L rows.
+
+    ``[t, x, s]`` is the row of beta_{t+1} at the state that input x leads
+    to from s, in L recursion rows (L, 2, S, B) viewed as (2 L S, B) and
+    read last first: row L - 1 - t holds beta_{t+1}, over bit-reversed
+    states.  Shared by every call, so read-only.
+    """
+    t = np.arange(steps)[:, None, None]
+    index = (2 * (steps - 1 - t) + 1) * trellis.n_states + trellis.next_reversed
+    index.flags.writeable = False
+    return index
+
+
+def _extrinsic(alpha, rows, parity_factor, trellis: RscTrellis, out,
                work: _LogMapBuffers, merge=np.add) -> None:
     """Extrinsic LLRs of L steps: log-ratio of the input-0 and input-1 merges.
 
     The ``merge`` (sum, or maximum for max-log) for input x runs over
     alpha_t(s) * parity factor * beta_{t+1}(s') of the transitions s -> s'
-    with input x; ``alpha`` is (L, S, B) over natural states, ``beta_next``
-    (L, S, B) over bit-reversed ones.
+    with input x; ``alpha`` is (L, S, B) over natural states, and ``rows``
+    (L, 2, S, B), C-contiguous, hold beta_{t+1} in row L - 1 - t
+    (``_beta_index``), so that the gather reads them in place.
     """
-    n = alpha.shape[0]
-    paths = np.take(beta_next, trellis.bit_reversed[trellis.next_state], axis=1,
-                    out=work.paths[:n], mode="clip")  # [t, x, s, b]
+    n, _, n_states, batch = rows.shape
+    paths = rows.reshape(2 * n * n_states, batch).take(
+        _beta_index(trellis, n), axis=0, out=work.paths[:n], mode="clip")  # [t, x, s, b]
     paths *= alpha[:, None]
-    paths *= np.take(parity_factor, trellis.parity, axis=1, out=work.factors[:n], mode="clip")
+    paths *= parity_factor.take(trellis.parity, axis=1, out=work.factors[:n], mode="clip")
     q = merge.reduce(paths, axis=2, out=work.sums[:n]).transpose(1, 0, 2)
-    log_q = np.log(np.maximum(q, np.finfo(float).tiny, out=q), out=q)
+    log_q = np.log(np.maximum(q, _TINY, out=q), out=q)
     np.subtract(log_q[0], log_q[1], out=out)
 
 
@@ -637,7 +741,7 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
     batch, steps = l_sys.shape
     n_states = trellis.n_states
     if windows is None:
-        windows = _window_count(batch, steps, n_states) if merge is np.add else 1
+        windows = _window_count(batch, steps, n_states, merge)
     if windows > 1 and merge is not np.add:
         raise ValueError("only the log-MAP merge runs in windows")
     if work is None:
@@ -671,7 +775,7 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
         low[0, 1] = 1.0 / n_states
     if windows == 1:
         for k0 in range(0, n_low - 1, SLAB):
-            _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work.gathered,
+            _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work,
                      merge=merge)
     else:
         _windowed_rows(low, branch, trellis, windows, work)
@@ -679,21 +783,23 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
     slab = work.paths.shape[0]
     for t0 in range(steps - n_low, n_low, slab):  # steps whose two rows are both kept
         t1 = min(t0 + slab, n_low)
-        _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0, 1][::-1], parity_factor[t0:t1],
+        _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0], parity_factor[t0:t1],
                    trellis, extrinsic[t0:t1], work, merge)
     buf = work.buf
     buf[0] = low[-1]
     for r0 in range(n_low, steps, SLAB):
         r1 = min(r0 + SLAB, steps)
         rows = buf[:r1 - r0 + 1]
-        _advance(rows, branch, trellis, r0 - 1, work.gathered, merge=merge)
+        _advance(rows, branch, trellis, r0 - 1, work, merge=merge)
         partner = low[steps - r1:steps - r0]  # rows T-1-r, r from r1-1 down to r0
-        _extrinsic(rows[1:, 0], partner[::-1, 1], parity_factor[r0:r1],
+        _extrinsic(rows[1:, 0], partner, parity_factor[r0:r1],
                    trellis, extrinsic[r0:r1], work, merge)
-        _extrinsic(partner[:, 0], rows[:0:-1, 1], parity_factor[steps - r1:steps - r0],
+        _extrinsic(partner[:, 0], rows[1:], parity_factor[steps - r1:steps - r0],
                    trellis, extrinsic[steps - r1:steps - r0], work, merge)
         buf[0] = rows[-1]
-    return l_sys + l_apriori + extrinsic.T
+    posterior = np.add(l_sys, l_apriori)
+    posterior += extrinsic.T
+    return posterior
 
 
 def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
@@ -715,7 +821,7 @@ def turbo_decode_batch(llrs, cfg: TurboConfig, iteration_trace: bool = False):
     merge = np.maximum if cfg.decoder == "max_log_map" else np.add
     # The window count of the whole batch serves every pass: W changes the
     # rounding, and a shrinking batch must not change W.
-    windows = _window_count(batch, steps, trellis.n_states) if merge is np.add else 1
+    windows = _window_count(batch, steps, trellis.n_states, merge)
     siso = partial(_log_map, windows=windows, merge=merge, work=_LogMapBuffers(
         batch, steps, trellis.n_states, max_windows=windows))
     perm = _permutation(cfg.interleaver_seed, k)

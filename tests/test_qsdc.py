@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qtsim.cchannel import RicianParams
 from qtsim.metrics import CHI2_CRIT_P001, chi2_uniform_statistic
 from qtsim.qchannel import DepolarizingParams, EveModel
 from qtsim.qsdc import (
@@ -22,6 +23,7 @@ from qtsim.qsdc import (
 )
 from qtsim.qstate import PHI_PLUS, PSI_PLUS, fidelity, make_bell, random_state
 from qtsim.shor import exact_logical_rate
+from qtsim.turbo import TurboConfig
 
 CLEAN = DepolarizingParams.from_total(0.0)
 
@@ -94,6 +96,19 @@ def test_config_validation():
     for ber in (-0.5, 1.5, math.nan):
         with pytest.raises(ValueError, match="classical_bypass_ber"):
             _cfg(classical_bypass_ber=ber)
+    # a link field that the session's mode leaves unread, as SweepSpec refuses it
+    four, bypass = TurboConfig(iterations=4), "with classical_bypass_ber"
+    for kw, unread in (
+        (dict(classical_bypass_ber=0.1, snr_db=3.0), f"{bypass} does not read snr_db"),
+        (dict(classical_bypass_ber=0.1, rician=RicianParams(zeta=3.0), turbo=four,
+              use_turbo=False), f"{bypass} does not read turbo, rician, use_turbo"),
+        (dict(use_turbo=False, turbo=four), "without use_turbo does not read turbo"),
+    ):
+        with pytest.raises(ValueError, match=f"^a session {unread}$"):
+            _cfg(**kw)
+    for kw in (dict(classical_bypass_ber=0.1), dict(use_turbo=False),
+               dict(snr_db=3.0, turbo=four)):
+        _cfg(**kw)
 
 
 def test_coarse_detection_warning_names_the_line_that_built_the_config():

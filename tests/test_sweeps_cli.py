@@ -519,6 +519,19 @@ def test_cli_negative_seed_exits_1_naming_the_flag(capsys, command):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["qsdc", "--sessions", "0", "-m", "20"],
+    ["sweep", "--trials", "0"],
+    ["shor-curve", "--trials", "0"],
+    ["teleport-demo", "--trials", "0"],
+    ["qsdc", "--sessions", "2.5", "-m", "20"],
+], ids=lambda argv: "_".join(argv[:3]))
+def test_cli_bad_count_exits_1_naming_the_flag(capsys, argv):
+    message = "must be >= 1, got 0" if argv[2] == "0" else "expected an integer, got '2.5'"
+    assert main(argv) == 1
+    assert f"argument {argv[1]}: {message}" in capsys.readouterr().err
+
+
 def test_cli_out_of_range_p_eq_exits_1(tmp_path, capsys):
     out = tmp_path / "out.csv"
     for p_eq in ("1.5", "-0.1", "nan"):

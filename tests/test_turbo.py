@@ -21,6 +21,8 @@ from qtsim.turbo import (
     RscTrellis,
     TurboConfig,
     _advance,
+    _beta_index,
+    _butterfly_index,
     _half_windows,
     _log_map,
     _LogMapBuffers,
@@ -460,17 +462,52 @@ def test_log_map_matches_oracle_across_trellis_lengths(generators, terminated):
         )
 
 
-def test_log_map_buffers_reused_across_passes():
-    # a batch decode runs passes of two lengths in one set of work arrays
+@pytest.mark.parametrize("batch, passes", [
+    (4, ((259, True, np.add), (130, False, np.add), (259, False, np.add), (43, True, np.add),
+         (259, True, np.maximum))),
+    (1, ((1027, True, np.add), (1024, False, np.add), (1027, True, np.maximum),
+         (1024, False, np.add))),
+    (128, ((259, True, np.add), (130, False, np.maximum), (259, False, np.add))),
+], ids=["windowed", "one_block", "one_window"])
+def test_log_map_buffers_reused_across_passes(batch, passes):
+    # a batch decode runs passes of two lengths, windowed (B <= 4) or not,
+    # in one set of work arrays, and max-log passes run one window in them;
+    # every scratch array a pass takes from them gives the bits of fresh ones
     rng = np.random.default_rng(75)
     trellis = RscTrellis()
-    work = _LogMapBuffers(4, 259, trellis.n_states)
-    for steps, terminated in ((259, True), (130, False), (259, False), (43, True)):
-        l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, 4, steps))
+    work = _LogMapBuffers(batch, max(steps for steps, _, _ in passes), trellis.n_states)
+    for steps, terminated, merge in passes:
+        l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, batch, steps))
         np.testing.assert_array_equal(
-            _log_map(l_sys, l_par, l_apriori, trellis, terminated, work=work),
-            _log_map(l_sys, l_par, l_apriori, trellis, terminated),
+            _log_map(l_sys, l_par, l_apriori, trellis, terminated, work=work, merge=merge),
+            _log_map(l_sys, l_par, l_apriori, trellis, terminated, merge=merge),
         )
+
+
+def test_index_caches_are_read_only_and_rebuild_alike():
+    # every pass of one length shares its butterfly gather index, its
+    # half-window index and its beta gather index, made from the trellis's
+    # next-state index: none can be written, and a cleared and rebuilt cache
+    # gives the same bits
+    trellis = _trellis((0o13, 0o15))
+    rng = np.random.default_rng(81)
+    inputs = [rng.normal(0.0, 3.0, size=(3, batch, 1027)) for batch in (1, 16)]
+
+    def posteriors():
+        return [_log_map(*x, trellis, True, merge=merge).tobytes()
+                for x in inputs for merge in (np.add, np.maximum)]
+
+    before = posteriors()
+    for index in (_butterfly_index(trellis, 1027), _half_windows(1027, 32)[3],
+                  _beta_index(trellis, 1027), trellis.next_reversed):
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[(0,) * index.ndim] = 0
+    np.testing.assert_array_equal(trellis.next_reversed,
+                                  trellis.bit_reversed[trellis.next_state])
+    for cache in (_butterfly_index, _half_windows, _beta_index):
+        cache.cache_clear()
+    assert posteriors() == before
 
 
 @pytest.mark.parametrize("batch", [128, 3])  # one window; windowed (_window_count 32)
@@ -637,7 +674,7 @@ def _pushed_transfers(branch, trellis):
     units = np.empty((steps + 1, 2, n_states, n_states, 1))
     units[0] = trellis.units[..., None]
     scales = np.empty((steps, 2, 1, n_states, 1))
-    _advance(units, branch, trellis, 0, np.empty(4 * n_states * steps), scales)
+    _advance(units, branch, trellis, 0, _LogMapBuffers(1, steps, n_states), scales)
     return units[-1, ..., 0] * np.exp(np.log(scales[..., 0]).sum(axis=0))
 
 
