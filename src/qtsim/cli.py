@@ -253,7 +253,7 @@ def parse_command(parser: _Parser, argv=None) -> argparse.Namespace:
         values["threads"] = os.environ["QTSIM_THREADS"]
         sources.append("QTSIM_THREADS")
     config = getattr(args, "config", None)
-    if config:
+    if config is not None:
         values.update(load_config(config))
         sources.append(config)
     if not values:
@@ -312,7 +312,7 @@ def _cmd_sweep(args) -> int:
     """Run a curve sweep; print its CSV unless run_sweep wrote it to a file."""
     spec = _sweep_spec(args)
     rows = run_sweep(spec)
-    if not spec.output_path:
+    if spec.output_path is None:
         sys.stdout.write(render_csv(spec, rows))
     else:
         print(f"wrote {len(rows)} rows to {spec.output_path}")
@@ -342,7 +342,7 @@ def _cmd_qsdc(args) -> int:
         f"mean_virtual_qber={mean_vq:.6g} eve={spec.eve.mode}"
         + (f" failed={n_failed}" if n_failed else "")
     )
-    if spec.output_path:
+    if spec.output_path is not None:
         print(f"wrote {len(rows)} rows to {spec.output_path}")
     return EXIT_OK
 

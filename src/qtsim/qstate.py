@@ -3,11 +3,14 @@
 Qubit ordering convention (used everywhere in this package): qubit 0 is the
 most significant bit of the basis index.  For an n-qubit register, basis
 index i assigns qubit q the bit (i >> (n - 1 - q)) & 1, so e.g. |10> on two
-qubits is index 2.
+qubits is index 2.  Every operation finds qubit q through one view,
+``_qubit_view``: the amplitudes reshaped to (2**q, 2, 2**(n-q-1)), whose
+axis 1 is qubit q's bit.
 
-States are values: every operation returns a new ``StateVector`` and never
-mutates its input.  Normalization is asserted on construction (gates must
-preserve it); renormalization only ever happens at measurement collapse.
+States are values: every operation returns a new ``StateVector``, whose
+amplitudes are a fresh array: it never mutates its input nor shares memory
+with it.  Normalization is asserted on construction (gates must preserve
+it); renormalization only ever happens at measurement collapse.
 Global phase is not tracked as meaningful; ``fidelity`` is the only notion
 of state equality.
 """
@@ -74,17 +77,16 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, "
                 f"expected ({2**self.n_qubits},)"
             )
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        norm2 = float(np.vdot(amps, amps).real)
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"state norm^2 = {norm2!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
     def probability(self, qubit: int, bit: int) -> float:
         """Born probability that measuring ``qubit`` yields ``bit``."""
         _check_qubit(self, qubit)
-        t = self.amplitudes.reshape([2] * self.n_qubits)
-        sub = np.take(t, bit, axis=qubit)
-        return float(np.sum(np.abs(sub) ** 2))
+        sub = _qubit_view(self.amplitudes, qubit)[:, bit]
+        return float(np.vdot(sub, sub).real)
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,11 @@ class MeasureOutcome:
 
     bit: int
     post_state: StateVector
+
+
+def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """``amps`` viewed as (2**qubit, 2, rest): axis 1 is ``qubit``'s bit."""
+    return amps.reshape(2**qubit, 2, -1)
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
@@ -152,33 +159,24 @@ def apply_gate(state: StateVector, gate: str, targets) -> StateVector:
             raise ValueError("CNOT control and target must be distinct")
         _check_qubit(state, control)
         _check_qubit(state, target)
-        return StateVector(
-            state.n_qubits, _cnot(state.amplitudes, state.n_qubits, control, target)
-        )
+        return StateVector(state.n_qubits, _cnot(state.amplitudes, control, target))
     if gate not in GATES_1Q:
         raise ValueError(f"unknown gate {gate!r}")
     if len(targets) != 1:
         raise ValueError(f"{gate} takes exactly one target qubit")
     _check_qubit(state, targets[0])
-    return StateVector(
-        state.n_qubits,
-        _single(state.amplitudes, state.n_qubits, GATES_1Q[gate], targets[0]),
-    )
+    return StateVector(state.n_qubits, _single(state.amplitudes, GATES_1Q[gate], targets[0]))
 
 
-def _single(amps: np.ndarray, n: int, mat: np.ndarray, qubit: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.tensordot(mat, t, axes=([1], [qubit]))
-    return np.moveaxis(t, 0, qubit).reshape(-1)
+def _single(amps: np.ndarray, mat: np.ndarray, qubit: int) -> np.ndarray:
+    return np.matmul(mat, _qubit_view(amps, qubit)).reshape(-1)
 
 
-def _cnot(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    t = amps.reshape([2] * n).copy()
-    sel = [slice(None)] * n
-    sel[control] = 1
-    sub_target_axis = target - 1 if target > control else target
-    t[tuple(sel)] = np.flip(t[tuple(sel)], axis=sub_target_axis)
-    return t.reshape(-1)
+def _cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """X on ``target`` everywhere, then the control = 0 slice put back."""
+    out = _qubit_view(amps, target)[:, ::-1].flatten()
+    _qubit_view(out, control)[:, 0] = _qubit_view(amps, control)[:, 0]
+    return out
 
 
 def apply_pauli(state: StateVector, qubit: int, pauli: PauliError) -> StateVector:
@@ -218,12 +216,9 @@ def measure_qubit(state: StateVector, qubit: int, rng) -> MeasureOutcome:
     _check_qubit(state, qubit)
     p1 = state.probability(qubit, 1)
     bit = 1 if rng.random() < p1 else 0
-    t = state.amplitudes.reshape([2] * state.n_qubits).copy()
-    sel = [slice(None)] * state.n_qubits
-    sel[qubit] = 1 - bit
-    t[tuple(sel)] = 0.0
-    norm = np.sqrt(p1 if bit == 1 else 1.0 - p1)
-    return MeasureOutcome(bit, StateVector(state.n_qubits, t.reshape(-1) / norm))
+    amps = state.amplitudes / np.sqrt(p1 if bit == 1 else 1.0 - p1)
+    _qubit_view(amps, qubit)[:, 1 - bit] = 0.0
+    return MeasureOutcome(bit, StateVector(state.n_qubits, amps))
 
 
 def discard_qubit(state: StateVector, qubit: int, bit: int) -> StateVector:
@@ -235,9 +230,8 @@ def discard_qubit(state: StateVector, qubit: int, bit: int) -> StateVector:
     _check_qubit(state, qubit)
     if state.n_qubits == 1:
         raise ValueError("cannot discard the last qubit")
-    t = state.amplitudes.reshape([2] * state.n_qubits)
-    sub = np.take(t, bit, axis=qubit)
-    return StateVector(state.n_qubits - 1, np.ascontiguousarray(sub.reshape(-1)))
+    kept = _qubit_view(state.amplitudes, qubit)[:, bit].flatten()  # a copy, never a view
+    return StateVector(state.n_qubits - 1, kept)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -439,7 +439,8 @@ def run_sweep(spec: SweepSpec, trace_path: str | None = None) -> list[dict]:
     worker, points = _points(spec, trace)
     with ExitStack() as files:
         trace_file, csv_file = (
-            _open_text(files, path) if path else None for path in (trace_path, spec.output_path)
+            None if path is None else _open_text(files, path)
+            for path in (trace_path, spec.output_path)
         )
         outcomes = iter(_run_chunks(spec, worker, points))
         rows = []

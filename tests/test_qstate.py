@@ -255,3 +255,114 @@ def test_state_vector_validation():
         StateVector(1, [1.0, 1.0])  # not normalized
     with pytest.raises(ValueError):
         StateVector(2, [1.0, 0.0])  # wrong length
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("slot", ["first", "last"])
+@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.nan)], ids=["real", "imag"])
+def test_state_vector_refuses_nan(n, slot, value):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    amps[0 if slot == "first" else -1] = value
+    with pytest.raises(ValueError, match=r"norm\^2 = nan "):
+        StateVector(n, amps)
+
+
+# ---------------------------------------------------------------------------
+# the qubit view against dense matrices: every qubit and every ordered pair
+# ---------------------------------------------------------------------------
+
+_DENSE_1Q = {
+    "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def _bit(n, qubit, index):
+    return (index >> (n - 1 - qubit)) & 1
+
+
+def _lifted(n, qubit, gate):
+    """I (x) ... (x) gate (x) ... (x) I, with ``gate`` at ``qubit``."""
+    out = np.ones((1, 1))
+    for q in range(n):
+        out = np.kron(out, gate if q == qubit else np.eye(2))
+    return out
+
+
+def _cnot_matrix(n, control, target):
+    out = np.zeros((2**n, 2**n))
+    for i in range(2**n):
+        out[i ^ (_bit(n, control, i) << (n - 1 - target)), i] = 1.0
+    return out
+
+
+def _projector(n, qubit, bit):
+    return np.diag([float(_bit(n, qubit, i) == bit) for i in range(2**n)])
+
+
+def _isometry(n, qubit, bit):
+    """The (2**(n-1), 2**n) map that keeps the basis states with ``bit`` at ``qubit``."""
+    kept = [i for i in range(2**n) if _bit(n, qubit, i) == bit]
+    return np.eye(2**n)[kept]
+
+
+class _ScriptedRng:
+    """``random()`` always returns ``u``: 0.0 takes bit 1, just under 1.0 takes bit 0."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+_TAKES_BIT = {1: 0.0, 0: float(np.nextafter(1.0, 0.0))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gates_match_dense_matrices(n):
+    state = random_state(n, np.random.default_rng(40 + n))
+    for qubit in range(n):
+        for name, gate in _DENSE_1Q.items():
+            out = apply_gate(state, name, qubit)
+            np.testing.assert_allclose(out.amplitudes, _lifted(n, qubit, gate) @ state.amplitudes,
+                                       rtol=0, atol=1e-12)
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+    for control in range(n):
+        for target in range(n):
+            if control != target:
+                out = apply_gate(state, "CNOT", (control, target))
+                assert np.array_equal(out.amplitudes,
+                                      _cnot_matrix(n, control, target) @ state.amplitudes)
+                assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_probability_and_measurement_match_projectors(n):
+    state = random_state(n, np.random.default_rng(50 + n))
+    for qubit in range(n):
+        for bit in (0, 1):
+            projected = _projector(n, qubit, bit) @ state.amplitudes
+            p = np.vdot(projected, projected).real
+            assert state.probability(qubit, bit) == pytest.approx(p, rel=0, abs=1e-12)
+            out = measure_qubit(state, qubit, _ScriptedRng(_TAKES_BIT[bit]))
+            assert out.bit == bit
+            np.testing.assert_allclose(out.post_state.amplitudes, projected / math.sqrt(p),
+                                       rtol=0, atol=1e-12)
+            assert not np.shares_memory(out.post_state.amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_discard_matches_the_isometry(n):
+    state = random_state(n, np.random.default_rng(60 + n))
+    for qubit in range(n):
+        for bit in (0, 1):
+            collapsed = measure_qubit(state, qubit, _ScriptedRng(_TAKES_BIT[bit])).post_state
+            out = discard_qubit(collapsed, qubit, bit)
+            assert out.n_qubits == n - 1
+            np.testing.assert_array_equal(out.amplitudes,
+                                          _isometry(n, qubit, bit) @ collapsed.amplitudes)
+            assert not np.shares_memory(out.amplitudes, collapsed.amplitudes)

@@ -573,6 +573,34 @@ def test_cli_qsdc_trace_unwritable_output_exits_2(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--kind", "classical_ber", "--snr-grid", "0", "--trials", "1000"], "out"),
+    (["shor-curve", "--p-eq", "0.01", "--trials", "1000"], "out"),
+    (["qsdc", "--sessions", "2", "-m", "20"], "out"),
+    (["qsdc", "--sessions", "2", "-m", "20"], "trace"),
+], ids=["sweep_out", "shor_curve_out", "qsdc_out", "qsdc_trace"])
+def test_empty_output_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                      argv, flag, via):
+    # an empty path is a path that cannot be written, not a request for stdout
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        argv = [*argv, f"--{flag}="]
+    else:
+        pathlib.Path("run.cfg").write_text(f"{flag} =\n")
+        argv = [*argv[:1], "--config", "run.cfg", *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ") and captured.out == ""
+    assert sorted(os.listdir()) == ([] if via == "flag" else ["run.cfg"])
+
+
+@pytest.mark.parametrize("command", ["sweep", "qsdc", "shor-curve", "teleport-demo"])
+def test_empty_config_path_exits_2(capsys, command):
+    assert main([command, "--config="]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: cannot read config ")
+
+
 @pytest.mark.parametrize("argv,worker", [
     (["sweep", "--kind", "classical_ber", "--trials", "200000", "--snr-grid", "0,2",
       "--out", "{bad}"], "_ber_chunk"),
