@@ -19,6 +19,21 @@ An attempt holds its decoy slots as one sorted index array.  A session
 retries an aborted attempt up to ``max_retries`` times and returns one
 report, from its last attempt.
 
+Draw order.  Attempt a of session s draws from its own stream,
+``default_rng(SeedSequence((seed, 0x5E55, s, a)))``, in this order:
+
+  1. the decoy slots: ``choice(n + m, size=m, replace=False)``;
+  2. the channel: one uniform per physical qubit (nine per pair with Shor,
+     one without), read by the four-rule sampler of ``qchannel``;
+  3. with a swap Eve only: one intercept uniform per pair, then a (2, n + m)
+     array of Bell-frame bits;
+  4. the receiver's m decoy outcomes, ``integers(0, 2, size=m)``: drawn only
+     when the attempt accepts or a trace is collected, since nothing reads
+     an aborted attempt's stream again;
+  5. on accept with a payload, the teleport and its classical link.
+
+The golden session CSVs and the pair trace pin this order.
+
 Every quantum step (Bell preparation, Shor encoding and decoding, Pauli
 noise, the swap attack, teleportation) is Clifford, so each pair is
 simulated exactly as a Bell frame: the (phase_bit, parity_bit) of its Bell
@@ -38,8 +53,8 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,7 +62,7 @@ from .cchannel import RicianParams, noise_variance
 from .qchannel import (
     MIN_EVE_BOOST, NO_EVE, DepolarizingParams, EveModel, effective_params, unread_fields,
 )
-from .qstate import PHI_PLUS, PSI_PLUS, BellKind, StateVector, make_bell
+from .qstate import PSI_PLUS, BellKind, StateVector, make_bell
 from .shor import exact_logical_rate, transit_flags
 from .teleport import teleport_frames
 from .turbo import TurboConfig
@@ -112,6 +127,13 @@ class QsdcConfig:
                 stacklevel=_caller_stacklevel(),
             )
 
+    @cached_property
+    def channel(self) -> DepolarizingParams:
+        """The channel a transit crosses: ``depol``, raised by a boost-mode Eve."""
+        if self.eve.mode == "depolarize_boost":
+            return effective_params(self.depol, self.eve)
+        return self.depol
+
 
 def _caller_stacklevel() -> int:
     """``warnings.warn`` stack level of the code that built a config.
@@ -144,7 +166,8 @@ class SessionState:
     pair_trace: list[tuple] | None = field(default_factory=list)  # None: not recorded
 
     def __post_init__(self):
-        self.virtual_positions = np.sort(np.asarray(self.virtual_positions, dtype=np.intp))
+        self.virtual_positions = np.array(self.virtual_positions, dtype=np.intp)
+        self.virtual_positions.sort()
 
     @property
     def pair_states(self) -> tuple[StateVector, ...]:
@@ -179,21 +202,17 @@ def distribute_pairs(cfg: QsdcConfig, rng) -> SessionState:
     """Create n real + m virtual pairs, decoys at rng-chosen secret slots."""
     total = cfg.n_pairs + cfg.m_virtual
     chosen = rng.choice(total, size=cfg.m_virtual, replace=False)
-    phase_bits = np.full(total, PHI_PLUS.phase_bit, dtype=np.int8)
-    parity_bits = np.full(total, PHI_PLUS.parity_bit, dtype=np.int8)
-    phase_bits[chosen] = PSI_PLUS.phase_bit
-    parity_bits[chosen] = PSI_PLUS.parity_bit
-    return SessionState(phase_bits, parity_bits, chosen)
+    # every pair starts in PHI_PLUS, frame (0, 0); a decoy's PSI_PLUS differs in parity
+    frames = np.zeros((2, total), dtype=np.int8)
+    frames[1, chosen] = PSI_PLUS.parity_bit
+    return SessionState(frames[0], frames[1], chosen)
 
 
 def transmit_protected(state: SessionState, cfg: QsdcConfig, rng) -> SessionState:
     """Run every pair through the (optionally Shor-protected) quantum channel."""
     state.require_phase("distributed")
-    channel = cfg.depol
-    if cfg.eve.mode == "depolarize_boost":
-        channel = effective_params(cfg.depol, cfg.eve)
     n = len(state.phase_bits)
-    x, z = transit_flags(channel, rng, n, protected=cfg.use_shor)
+    x, z = transit_flags(cfg.channel, rng, n, protected=cfg.use_shor)
     phase, parity = state.phase_bits ^ z, state.parity_bits ^ x
     if cfg.eve.mode == "swap":
         # Eve's Bell measurement leaves an intercepted pair in a uniformly
@@ -208,27 +227,41 @@ def transmit_protected(state: SessionState, cfg: QsdcConfig, rng) -> SessionStat
 
 
 def resolve_threshold(cfg: QsdcConfig) -> float:
-    return (
-        cfg.threshold
-        if cfg.threshold is not None
-        else choose_threshold(cfg.depol, m_virtual=cfg.m_virtual)
-    )
+    """``cfg.threshold``, or the one ``choose_threshold`` derives.
+
+    Both must lie in (0, 1): at m_virtual = 1 the derived 1/m floor is 1,
+    and no decoy error could abort a session.
+    """
+    if cfg.threshold is not None:
+        return cfg.threshold
+    threshold = choose_threshold(cfg.depol, m_virtual=cfg.m_virtual)
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(
+            f"the threshold derived for m_virtual = {cfg.m_virtual} is {threshold:g}, "
+            "outside (0, 1); give an explicit threshold"
+        )
+    return threshold
 
 
 def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     """Measure the decoy pairs and decide accept vs abort.
 
     The receiver measures first and reveals positions and results; the
-    sender then measures her halves and counts non-opposite outcomes.
+    sender then measures their halves and counts non-opposite outcomes.
+    The receiver's outcomes are drawn only when the attempt accepts or
+    records a trace: nothing reads an aborted attempt's rng again.
     """
     state.require_phase("decoded")
     positions = state.virtual_positions
     # The receiver's Z outcome is uniform; the sender's differs from it by
     # the pair's parity bit, so the outcomes are opposite, as
     # (|01>+|10>)/sqrt(2) requires, exactly where that bit is set.
-    bob = rng.integers(0, 2, size=len(positions), dtype=np.int8)
     parity = state.parity_bits[positions]
     disagreements = len(positions) - int(np.count_nonzero(parity))
+    virtual_qber = disagreements / cfg.m_virtual
+    decision = "accept" if virtual_qber <= resolve_threshold(cfg) else "abort"
+    if decision == "accept" or state.pair_trace is not None:
+        bob = rng.integers(0, 2, size=len(positions), dtype=np.int8)
     if state.pair_trace is not None:
         state.pair_trace.extend(
             ("virtual", pos, a, b, ok)
@@ -237,9 +270,6 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
                 (parity != 0).astype(int).tolist(),
             )
         )
-    virtual_qber = disagreements / cfg.m_virtual
-    threshold = resolve_threshold(cfg)
-    decision = "accept" if virtual_qber <= threshold else "abort"
     state.virtual_qber = virtual_qber
     state.phase = "verified" if decision == "accept" else "aborted"
     return QsdcReport(
@@ -316,6 +346,18 @@ def choose_threshold(depol: DepolarizingParams, m_virtual: int | None = None) ->
     return geometric_threshold(p_no_eve, exact_logical_rate(boosted), m_virtual)
 
 
+def _attempt_rng(seed: int, session_id: int, attempt: int) -> np.random.Generator:
+    """``default_rng(SeedSequence((seed, 0x5E55, session_id, attempt)))``.
+
+    A key of uint32 values enters as one uint32 array, the words the tuple
+    would give, which SeedSequence reads in half the time.
+    """
+    key = (seed, 0x5E55, session_id, attempt)
+    if 0 <= min(key) and max(key) < 1 << 32:
+        key = np.array(key, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
 def run_session(
     cfg: QsdcConfig,
     session_id: int = 0,
@@ -327,12 +369,10 @@ def run_session(
     With ``collect_trace`` the report carries one trace row per measured
     pair: (attempt, kind, position, bit_a, bit_b, ok).
     """
-    timings: dict[str, float] = {}
+    timings = dict.fromkeys(("distribute", "transmit", "verify"), 0.0)
     trace: list[tuple] = []
     for attempt in range(cfg.max_retries):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, 0x5E55, session_id, attempt))
-        )
+        rng = _attempt_rng(cfg.seed, session_id, attempt)
         t0 = time.perf_counter()
         state = distribute_pairs(cfg, rng)
         if not collect_trace:
@@ -342,9 +382,9 @@ def run_session(
         t2 = time.perf_counter()
         report = verify_virtual(state, cfg, rng)
         t3 = time.perf_counter()
-        timings["distribute"] = timings.get("distribute", 0.0) + (t1 - t0)
-        timings["transmit"] = timings.get("transmit", 0.0) + (t2 - t1)
-        timings["verify"] = timings.get("verify", 0.0) + (t3 - t2)
+        timings["distribute"] += t1 - t0
+        timings["transmit"] += t2 - t1
+        timings["verify"] += t3 - t2
         accepted = report.decision == "accept"
         if accepted and payload:
             report = teleport_payload(state, payload, cfg, rng)
@@ -353,6 +393,8 @@ def run_session(
             trace.extend((attempt,) + row for row in state.pair_trace)
         if accepted:
             break
-    return replace(
-        report, per_phase_timings=timings, attempts=attempt + 1, pair_trace=tuple(trace)
+    return QsdcReport(
+        report.virtual_qber, report.decision, report.payload_qber, report.eve_present_truth,
+        per_phase_timings=timings, classical_ber=report.classical_ber, attempts=attempt + 1,
+        pair_trace=tuple(trace),
     )

@@ -85,7 +85,7 @@ class StateVector:
     def probability(self, qubit: int, bit: int) -> float:
         """Born probability that measuring ``qubit`` yields ``bit``."""
         _check_qubit(self, qubit)
-        sub = _qubit_view(self.amplitudes, qubit)[:, bit]
+        sub = _qubit_view(self.amplitudes, qubit)[:, _check_bit(bit)]
         return float(np.vdot(sub, sub).real)
 
 
@@ -127,6 +127,13 @@ def _qubit_view(amps: np.ndarray, qubit: int) -> np.ndarray:
 def _check_qubit(state: StateVector, qubit: int) -> None:
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
+
+
+def _check_bit(bit: int) -> int:
+    """``bit`` as an int; a ValueError unless it is 0 or 1."""
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    return int(bit)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -230,7 +237,7 @@ def discard_qubit(state: StateVector, qubit: int, bit: int) -> StateVector:
     _check_qubit(state, qubit)
     if state.n_qubits == 1:
         raise ValueError("cannot discard the last qubit")
-    kept = _qubit_view(state.amplitudes, qubit)[:, bit].flatten()  # a copy, never a view
+    kept = _qubit_view(state.amplitudes, qubit)[:, _check_bit(bit)].flatten()  # a copy, never a view
     return StateVector(state.n_qubits - 1, kept)
 
 

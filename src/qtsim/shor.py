@@ -217,7 +217,7 @@ def _logical_flags(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The nine flags of a block are packed into one word; logical X comes from
     the z flags only and logical Z from the x flags only.
     """
-    return _X_OF_Z_WORD[zs @ _FLAG_WEIGHTS], _Z_OF_X_WORD[xs @ _FLAG_WEIGHTS]
+    return _X_OF_Z_WORD.take(zs @ _FLAG_WEIGHTS), _Z_OF_X_WORD.take(xs @ _FLAG_WEIGHTS)
 
 
 def transit_flags(

@@ -5,24 +5,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qtsim.qsdc as qsdc
 from qtsim.cchannel import RicianParams
 from qtsim.metrics import CHI2_CRIT_P001, chi2_uniform_statistic
-from qtsim.qchannel import DepolarizingParams, EveModel
+from qtsim.qchannel import DepolarizingParams, EveModel, sample_pauli
 from qtsim.qsdc import (
     ProtocolError,
     QsdcConfig,
     QsdcReport,
     SessionState,
+    _attempt_rng,
     choose_threshold,
     distribute_pairs,
     geometric_threshold,
+    resolve_threshold,
     run_session,
     teleport_payload,
     transmit_protected,
     verify_virtual,
 )
-from qtsim.qstate import PHI_PLUS, PSI_PLUS, fidelity, make_bell, random_state
-from qtsim.shor import exact_logical_rate
+from qtsim.qstate import PAULI_FROM_FLAGS, PHI_PLUS, PSI_PLUS, fidelity, make_bell, random_state
+from qtsim.shor import PauliPattern, classify_pattern, exact_logical_rate
 from qtsim.turbo import TurboConfig
 
 CLEAN = DepolarizingParams.from_total(0.0)
@@ -318,6 +321,21 @@ def test_threshold_resolution_floor():
     assert geometric_threshold(1e-4, 0.1213, m_virtual=100) == pytest.approx(0.01)
 
 
+def test_a_derived_threshold_outside_0_1_is_refused():
+    # at m_virtual = 1 the 1/m floor derives 1.0, which no decoy error could exceed
+    with pytest.warns(UserWarning, match="coarse detection"):
+        cfg = _cfg(n_pairs=2, m_virtual=1, eve=EveModel(mode="swap", intercept_fraction=1.0))
+    for resolve in (resolve_threshold, run_session):
+        with pytest.raises(ValueError, match=r"m_virtual = 1 is 1, .*explicit threshold"):
+            resolve(cfg)
+    with pytest.warns(UserWarning, match="coarse detection"):
+        explicit = replace(cfg, threshold=0.5)
+        two = _cfg(n_pairs=2, m_virtual=2)
+    assert resolve_threshold(explicit) == 0.5
+    assert resolve_threshold(two) == 0.5
+    assert run_session(two).decision == "accept"
+
+
 def test_choose_threshold_between_computed_rates():
     depol = DepolarizingParams.from_total(0.005)
     p0 = exact_logical_rate(depol)
@@ -383,3 +401,114 @@ def test_detection_smoke_all_three_scenarios():
     assert outcomes["none"] <= 1
     assert outcomes["boost"] >= 29
     assert outcomes["swap"] == 30
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**70])
+def test_attempt_rng_is_the_seed_sequence_of_the_key(seed):
+    for session_id, attempt in ((0, 0), (5, 2), (2**32 - 1, 1), (2**33, 0)):
+        want = np.random.default_rng(np.random.SeedSequence((seed, 0x5E55, session_id, attempt)))
+        got = _attempt_rng(seed, session_id, attempt)
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_run_session_calls_each_phase_through_the_module(monkeypatch):
+    # the benchmark's tracer wraps the phase functions by their module names
+    calls = dict.fromkeys(("distribute_pairs", "transmit_protected", "verify_virtual"), 0)
+    for name in calls:
+        def spy(*args, _phase=getattr(qsdc, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _phase(*args, **kwargs)
+        monkeypatch.setattr(qsdc, name, spy)
+    base = dict(n_pairs=16, m_virtual=100, depol=DepolarizingParams.from_total(0.005), seed=3)
+    boost = QsdcConfig(**base, eve=EveModel(mode="depolarize_boost", delta_pe=0.1))
+    report = run_session(boost, session_id=4)
+    assert (report.decision, report.attempts) == ("abort", 3)
+    assert calls == dict.fromkeys(calls, 3)
+    calls.update(dict.fromkeys(calls, 0))
+    report = run_session(QsdcConfig(**base), session_id=4)
+    assert (report.decision, report.attempts) == ("accept", 1)
+    assert calls == dict.fromkeys(calls, 1)
+
+
+# ---------------------------------------------------------------------------
+# draw order
+# ---------------------------------------------------------------------------
+
+_FLAGS_OF = {pauli: flags for flags, pauli in PAULI_FROM_FLAGS.items()}
+
+
+class _Uniform:
+    """An rng whose one draw is ``u``, for ``sample_pauli``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _reference_session(cfg: QsdcConfig, session_id: int, collect_trace: bool) -> tuple:
+    """(decision, virtual_qber, attempts, pair_trace) of a session without payload.
+
+    Each attempt draws from default_rng(SeedSequence((seed, 0x5E55, session,
+    attempt))), in this order: the decoy slots, one choice of m among n + m;
+    one uniform per physical qubit, nine per pair with Shor and one without;
+    with a swap Eve, one intercept uniform per pair and then a (2, n + m)
+    array of Bell-frame bits; last the receiver's m decoy bits, drawn only
+    when the attempt accepts or a trace is collected.  Each uniform is a
+    Pauli by the four-rule sampler, and a Shor block's nine are judged by
+    classify_pattern.  Only the parity bit, which a residual X flips, is
+    read by the check.
+    """
+    total = cfg.n_pairs + cfg.m_virtual
+    per_pair = 9 if cfg.use_shor else 1
+    boost = cfg.eve.delta_pe if cfg.eve.mode == "depolarize_boost" else 0.0
+    channel = DepolarizingParams.from_total(min(1.0, cfg.depol.p_eq + boost))
+    threshold = choose_threshold(cfg.depol, m_virtual=cfg.m_virtual)
+    trace = []
+    for attempt in range(cfg.max_retries):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5E55, session_id, attempt)))
+        decoys = sorted(rng.choice(total, size=cfg.m_virtual, replace=False).tolist())
+        uniforms = rng.random(per_pair * total).tolist()
+        parity = [int(i in decoys) for i in range(total)]  # PSI_PLUS decoys, PHI_PLUS pairs
+        for i in range(total):
+            errors = tuple(sample_pauli(channel, _Uniform(u))
+                           for u in uniforms[per_pair * i:per_pair * (i + 1)])
+            residual = classify_pattern(PauliPattern(errors)).logical_error if cfg.use_shor \
+                else errors[0]
+            parity[i] ^= _FLAGS_OF[residual][0]
+        if cfg.eve.mode == "swap":
+            hit = (rng.random(total) < cfg.eve.intercept_fraction).tolist()
+            frames = rng.integers(0, 2, size=(2, total), dtype=np.int8)
+            parity = [f if h else p for p, h, f in zip(parity, hit, frames[1].tolist())]
+        virtual_qber = sum(parity[pos] == 0 for pos in decoys) / cfg.m_virtual
+        accepted = virtual_qber <= threshold
+        if accepted or collect_trace:
+            bob = rng.integers(0, 2, size=cfg.m_virtual, dtype=np.int8).tolist()
+        if collect_trace:
+            trace += [(attempt, "virtual", pos, b ^ parity[pos], b, parity[pos])
+                      for pos, b in zip(decoys, bob)]
+        if accepted:
+            break
+    return ("accept" if accepted else "abort"), virtual_qber, attempt + 1, tuple(trace)
+
+
+@pytest.mark.parametrize("eve", [
+    EveModel(), EveModel(mode="depolarize_boost", delta_pe=0.1),
+    EveModel(mode="swap", intercept_fraction=0.3),
+], ids=["none", "boost", "swap"])
+@pytest.mark.parametrize("use_shor", [True, False], ids=["shor", "bare"])
+def test_sessions_follow_the_documented_draw_order(eve, use_shor):
+    cfg = QsdcConfig(n_pairs=6, m_virtual=20, depol=DepolarizingParams.from_total(0.005),
+                     eve=eve, use_shor=use_shor, seed=21)
+    outcomes = set()
+    for session_id in range(8):
+        for collect_trace in (False, True):
+            report = run_session(cfg, session_id=session_id, collect_trace=collect_trace)
+            got = (report.decision, report.virtual_qber, report.attempts, report.pair_trace)
+            assert got == _reference_session(cfg, session_id, collect_trace), session_id
+            outcomes.add((report.decision, report.attempts))
+    if eve.mode == "none":
+        assert outcomes == {("accept", 1)}
+    else:  # accepted, and aborted after every attempt
+        assert ("abort", 3) in outcomes and {d for d, _ in outcomes} == {"accept", "abort"}

@@ -219,6 +219,16 @@ def test_discard_qubit_requires_basis_state():
         discard_qubit(make_bell(PHI_PLUS), 0, 0)  # entangled, not separable
 
 
+@pytest.mark.parametrize("bit", [-1, 2, 3])
+def test_probability_and_discard_refuse_a_bit_other_than_0_or_1(bit):
+    # |01>: read as an index, -1 would pick bit 1's slice and 2 would overflow the axis
+    state = basis_state(2, 1)
+    with pytest.raises(ValueError, match=f"^bit must be 0 or 1, got {bit}$"):
+        state.probability(1, bit)
+    with pytest.raises(ValueError, match=f"^bit must be 0 or 1, got {bit}$"):
+        discard_qubit(state, 1, bit)
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 # ---------------------------------------------------------------------------

@@ -791,6 +791,19 @@ def test_cli_qsdc_swap_attack_aborts(capsys):
     assert "decision=abort" in out
 
 
+def test_cli_qsdc_refuses_a_derived_threshold_of_one(capsys):
+    # one decoy derives a threshold of 1, at which even a full swap attack never aborts
+    argv = ["qsdc", "--sessions", "20", "-n", "2", "--eve", "swap:1.0"]
+    with pytest.warns(UserWarning, match="coarse detection"):
+        assert main([*argv, "-m", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "m_virtual = 1" in err and "explicit threshold" in err
+    with pytest.warns(UserWarning, match="coarse detection"):
+        assert main([*argv, "-m", "2"]) == 0
+    assert "threshold=0.5\n" in capsys.readouterr().out
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=5\ntrials=1000\nkind=qber_vs_snr  # comment\n")
