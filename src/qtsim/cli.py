@@ -134,7 +134,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="most worker processes, never more than chunk tasks or CPUs "
+                        help="most worker processes, never more than chunk tasks or the CPUs "
+                             "this process may run on, its affinity mask where it has one "
                              "(default: QTSIM_THREADS, else 1)")
     parser.add_argument("--timing", action="store_true",
                         help="record run ms per point or session (breaks byte-stable output)")

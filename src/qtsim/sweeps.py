@@ -204,13 +204,25 @@ def _run_job(worker, job) -> tuple:
     return result, time.perf_counter() - t0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: ``os.cpu_count()``, or the size of its
+    affinity mask where the platform has one and it leaves out an online CPU
+    (``taskset``, a container's cpuset)."""
+    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        mask = len(os.sched_getaffinity(0))
+        if mask < os.sysconf("SC_NPROCESSORS_ONLN"):
+            cpus = min(cpus, mask)
+    return cpus
+
+
 def _run_chunks(spec: SweepSpec, worker, points: list[tuple]) -> list[tuple]:
     """The ``_run_job`` outcome of every job of every point, in job order."""
     run = partial(_run_job, worker)
     per_task = SESSION_CHUNK if spec.sweep_kind == "qsdc_batch" else 1
     jobs = [job for _, point_jobs, _ in points for job in point_jobs]
     n_tasks = math.ceil(len(jobs) / per_task)
-    workers = min(spec.threads, n_tasks, os.cpu_count() or 1) if spec.threads > 1 else 1
+    workers = min(spec.threads, n_tasks, _usable_cpus()) if spec.threads > 1 else 1
     if workers <= 1:
         return list(map(run, jobs))
     global ProcessPoolExecutor, BrokenProcessPool

@@ -40,6 +40,11 @@ constituent decoders.  LLR convention throughout: positive favors bit 0.
   in order in the log domain, each coefficient floored at
   exp(-``WINDOW_FLOOR``) of the largest, the midpoints follow from the half
   transfers, and phase 2 runs the 2W half-windows again from these rows.
+  The posterior is formed where phase 2 leaves them: the alpha of each
+  half-window's forward rows meets the next step's beta in the backward
+  rows of its partner, read last first, with the products and the order of
+  the state sums of the one-window kernel, and only the T extrinsic LLRs
+  are written in step order.
   A step costs numpy call overhead, not arithmetic, at small B, so two
   phases of h ~ sqrt(T)/2 steps of W B (then 2 W B) columns beat T/2 steps
   of B columns.  Its LLRs equal the one-window recursion's to rounding
@@ -76,17 +81,19 @@ are made ``SLAB`` = 16 steps at a time and used at once, as in Schurgers,
 Catthoor & Engels, "Memory optimization of MAP turbo decoder algorithms"
 (IEEE T-VLSI 9(2), 2001).  That is about 131 KiB per block at K = 1024, half
 of it the kept rows: 16.4 MiB for a 128-block sweep chunk.  A windowed pass
-keeps all T rows, the S unit vectors of every window over half of it, and
-one posterior slab of all T steps: 1.8 MiB for one block.  The same arrays
-lend every scratch array of a pass (the butterfly products and step sums of
+keeps the S unit vectors of every window over half of it and phase 2's rows
+over the other half, and forms its posterior in arrays that the phases have
+spent: 1.5 MiB (1,553,432 bytes) for one block.  The same arrays lend every
+scratch array of a pass (the butterfly products and step sums of
 ``_advance``; the transfers, chain, shifts, coefficients and running maxima
 of ``_window_starts``), and every gather reads its rows in place, so a pass
 allocates nothing that grows with it but the posterior it returns.  The
 index arrays of a pass depend only on the code and the pass length, so they
 are built once per process and shared read-only: the butterfly gather index
 (``_butterfly_index``, 4 S per step: 263 KB at T = 1027, S = 8), the beta
-gather index of the extrinsic (``_beta_index``, from
-``RscTrellis.next_reversed``) and the half-window index (``_half_windows``).
+gather index of the one-window posterior (``_beta_index``, from
+``RscTrellis.next_reversed``), the half-window index (``_half_windows``)
+and the gather indices of the windowed posterior (``_window_paths``).
 ``turbo_decode_batch`` frees each of its arrays once it is spent, and the
 channel LLRs once it has copied the streams it reads, unless the caller
 keeps them (``link.send_bits`` does not), so that no spent array sits
@@ -387,24 +394,26 @@ class _LogMapBuffers:
     shrinks keeps its arrays, and the windowed arrays are viewed by each
     pass in its own shape.  The arrays serve passes of up to
     ``max_windows`` windows (by default the most the window rule gives
-    these blocks); with more than one, every row is kept.
+    these blocks), and one-window passes (max-log) in any of them.
 
     Per block, in doubles, over T steps and S states: the branch table 4 T,
-    the parity factors 2 T and the extrinsic LLRs T.  With one window, the
-    kept rows 2 S (T/2 + 1), about 10 S ``SLAB`` in the slab arrays, and
-    ``_advance``'s butterfly products 4 S and step sums 2 ``SLAB``: at
+    the parity factors 2 T and the extrinsic LLRs T; the kept rows of a
+    one-window pass 2 S (T/2 + 1), about 10 S ``SLAB`` in its slab arrays,
+    and ``_advance``'s butterfly products 4 S and step sums 2 ``SLAB``: at
     T = 1027 and S = 8, 134,440 bytes a block, half of them the kept rows,
-    and 16.4 MiB for B = 128.  With more, all 2 S T rows and a posterior
-    slab of (4 S + 2) T; per row of the half-windows' span T/2 + 2 W,
+    and 16.4 MiB for B = 128.  A windowed pass reads row 0 of the kept rows
+    and needs, per row of the half-windows' span T/2 + 2 W,
     2 S**2 + 14 S + 30 (the half-windows' branch table and the copy of its
     phase-1 half, their rows, scales and gathered factors, phase 2's step
-    sums, and the log-scale column of ``_window_starts``); and per window
+    sums, and the log-scale column of ``_window_starts``), and per window
     9 S**2 + 14 S + 4 (phase 1's products, and the transfers, chain, shifts,
-    coefficients and running maxima of ``_window_starts``, ``combine``):
-    1,894,088 bytes (1.8 MiB) for B = 1 and W = 32.  The index arrays of a
-    pass are not here: they depend only on the code and the pass length,
-    and are built once per process (``_butterfly_index``, ``_beta_index``,
-    ``_half_windows``).
+    coefficients and running maxima of ``_window_starts``, ``combine``).
+    Its posterior takes its gathered betas, alphas, factors, products and
+    sums from these arrays once the phases have spent them: 1,553,432 bytes
+    (1.5 MiB) for B = 1 and W = 32.  The index arrays of a pass are not
+    here: they depend only on the code and the pass length, and are built
+    once per process (``_butterfly_index``, ``_beta_index``,
+    ``_half_windows``, ``_window_paths``).
     """
 
     def __init__(self, batch: int, max_steps: int, n_states: int,
@@ -412,20 +421,17 @@ class _LogMapBuffers:
         if max_windows is None:
             max_windows = _window_count(batch, max_steps, n_states)
         self.max_windows = max_windows
-        n_low = max_steps // 2 + 1 if max_windows == 1 else max_steps
-        # One window: SLAB posterior steps per call.  More: one call over all
-        # steps, since W windows of B blocks take as many calls as one window
-        # of W * B blocks.
-        slab = SLAB if max_windows == 1 else max_steps
+        # the kept rows and the slab arrays of a one-window pass; a windowed
+        # pass reads row 0 of ``low`` and lends the rest from the arrays below
         self._shapes = {
             "parity_factor": (max_steps, 2),
             "branch": (max_steps, 2, 2),
-            "low": (n_low, 2, n_states),
+            "low": (max_steps // 2 + 1, 2, n_states),
             "buf": (SLAB + 1, 2, n_states),
             "extrinsic": (max_steps,),
-            "paths": (slab, 2, n_states),
-            "factors": (slab, 2, n_states),
-            "sums": (slab, 2),
+            "paths": (SLAB, 2, n_states),
+            "factors": (SLAB, 2, n_states),
+            "sums": (SLAB, 2),
         }
         self._storage = {name: np.empty(math.prod(shape) * batch)
                          for name, shape in self._shapes.items()}
@@ -452,16 +458,25 @@ class _LogMapBuffers:
         """C-contiguous views of ``shapes``, one after another from the front of
         the flat array ``name``: made at the first pass of these shapes, then kept.
         """
-        key = (name, shapes)
-        views = self._views.get(key)
-        if views is None:
-            views, start = [], 0
+        def views():
+            out, start = [], 0
             for shape in shapes:
                 size = math.prod(shape)
-                views.append(getattr(self, name)[start:start + size].reshape(shape))
+                out.append(getattr(self, name)[start:start + size].reshape(shape))
                 start += size
-            self._views[key] = views
-        return views
+            return out
+        return self.kept((name, shapes), views)
+
+    def kept(self, key, make):
+        """``make()``, made at the first call with ``key`` and then kept.
+
+        For views of these arrays that a pass would otherwise make afresh
+        at every step; ``key`` must fix every place and shape they view.
+        """
+        value = self._views.get(key)
+        if value is None:
+            value = self._views[key] = make()
+        return value
 
     def set_batch(self, batch: int) -> None:
         """View the per-block arrays, batch last, for passes of ``batch`` blocks."""
@@ -479,8 +494,10 @@ def _bit_factors(llr, out) -> None:
     are llr clipped to [-2C, 0] and -llr clipped to the same range.
     """
     bound = 2 * LOG_MAP_CLIP
-    np.clip(llr.T, -bound, 0.0, out=out[:, 0])
-    np.clip(llr.T, 0.0, bound, out=out[:, 1])
+    # the method, not np.clip, whose wrapper costs more than a B = 1 pass's
+    # arithmetic; np.maximum and np.minimum would cost two more passes
+    llr.T.clip(-bound, 0.0, out=out[:, 0])
+    llr.T.clip(0.0, bound, out=out[:, 1])
     np.negative(out[:, 1], out=out[:, 1])
     np.exp(out, out=out)
 
@@ -506,7 +523,7 @@ def _butterfly_index(trellis: RscTrellis, steps: int) -> np.ndarray:
 
 
 def _advance(rows, branch, trellis: RscTrellis, first_step: int, work: _LogMapBuffers,
-             scales=None, merge=np.add) -> None:
+             scales=None, merge=np.add, key=None) -> None:
     """Fill ``rows[1:]`` from ``rows[0]``, row i + 1 by step ``first_step + i``.
 
     A row holds (alpha_k, beta_{T-k}) over the states, beta's bit-reversed,
@@ -518,28 +535,37 @@ def _advance(rows, branch, trellis: RscTrellis, first_step: int, work: _LogMapBu
     ``rows`` may have one more axis before that one, across which the
     factors are shared.  ``work`` lends the factors of each step's
     butterflies and their products, and the step sums, which ``scales``
-    receives instead if given.
+    receives instead if given.  A caller whose ``rows`` and ``scales`` lie
+    where their shapes put them in ``work`` (the phases of a windowed pass)
+    names them by ``key``, and the views of every step are kept there.
     """
     n_rows, _, n_states, *cols = rows.shape
-    half = n_states // 2
     batch = branch.shape[1]
-    # [k, i, d, 1, j, ...]: the state 2j + i of direction d in row k
-    inputs = rows.reshape(n_rows, 2, half, 2, *cols).swapaxes(1, 3).swapaxes(2, 3)[:, :, :, None]
-    outputs = rows.reshape(n_rows, 2, 2, half, *cols)
     index = _butterfly_index(trellis, branch.shape[0] // 4)[first_step:first_step + n_rows - 1]
     g = branch.take(index, axis=0, out=_shaped(work.gathered, *index.shape, batch),
                     mode="clip")  # [k, i, d, o, j, b]
-    g = g.reshape(g.shape[:5] + (1,) * (len(cols) - 1) + (batch,))
-    prod = _shaped(work.products, 2, 2, 2, half, *cols)
     if scales is None:
         scales = _shaped(work.step_sums, n_rows - 1, 2, 1, *cols)
+    make = partial(_step_views, rows, g, scales)
+    steps = make() if key is None else work.kept((key, rows.shape, batch), make)
+    prod = _shaped(work.products, 2, 2, 2, n_states // 2, *cols)
+    prod_0, prod_1 = prod.reshape(2, 2, n_states, *cols)  # the merge writes rows
     multiply, divide, add_reduce = np.multiply, np.divide, np.add.reduce
-    for i, g_k in enumerate(g):
-        multiply(g_k, inputs[i], out=prod)
-        merge(prod[0], prod[1], out=outputs[i + 1])
-        nxt, total = rows[i + 1], scales[i]
+    for g_k, x, nxt, total in steps:
+        multiply(g_k, x, out=prod)
+        merge(prod_0, prod_1, out=nxt)
         add_reduce(nxt, axis=1, keepdims=True, out=total)
         divide(nxt, total, out=nxt)
+
+
+def _step_views(rows, gathered, scales) -> list:
+    """(butterfly factors, butterfly inputs, next row, its sum) of each step of ``_advance``."""
+    n_rows, _, n_states, *cols = rows.shape
+    half = n_states // 2
+    # [k, i, d, 1, j, ...]: the state 2j + i of direction d in row k
+    inputs = rows.reshape(n_rows, 2, half, 2, *cols).swapaxes(1, 3).swapaxes(2, 3)[:, :, :, None]
+    factors = gathered.reshape(gathered.shape[:5] + (1,) * (len(cols) - 1) + gathered.shape[5:])
+    return list(zip(factors, inputs, rows[1:], scales))
 
 
 @lru_cache(maxsize=32)
@@ -566,8 +592,8 @@ def _half_windows(steps: int, windows: int):
     return half, windows, int(steps - start[-1]), index
 
 
-def _windowed_rows(low, branch, trellis: RscTrellis, windows: int, work: _LogMapBuffers) -> None:
-    """Fill ``low[1:]`` from ``low[0]``, all T rows of a pass, in windows.
+def _windowed_rows(row0, branch, trellis: RscTrellis, windows: int, work: _LogMapBuffers):
+    """Phase 2's rows (h + 1, 2, S, 2 W B) of a pass from its row 0 ``row0``, in windows.
 
     The T steps are cut into W windows of 2h steps (``_half_windows``) that
     run side by side on the batch axis of ``_advance``.  Phase 1 pushes the
@@ -575,9 +601,14 @@ def _windowed_rows(low, branch, trellis: RscTrellis, windows: int, work: _LogMap
     backward through the second, h steps each, every column scaled on its
     own with its log scale kept; ``_window_starts`` combines them into the
     rows at every window's boundaries and midpoint, and phase 2 runs the 2W
-    half-windows again from those rows.
+    half-windows again from those rows.  Column (c, w, b) of row k holds
+    alpha_{2hw + hc + k} and the beta k steps before step 2hw + 2h - hc (T
+    for c = 0 of the last window): half-window (w, c) runs forward from its
+    first step and backward from its partner's last.  ``_windowed_extrinsic``
+    pairs them; the rows are views of ``work.window_rows``.
     """
-    steps, _, n_states, batch = low.shape
+    n_states, batch = row0.shape[1:]
+    steps = branch.shape[0] // 4
     half, windows, tail, index = _half_windows(steps, windows)
     cols = windows * batch
     table, first = work.carve("window_branch", (*index.shape, batch),
@@ -588,23 +619,12 @@ def _windowed_rows(low, branch, trellis: RscTrellis, windows: int, work: _LogMap
     units = _shaped(work.unit_rows, half + 1, 2, n_states, n_states, cols)
     units[0] = trellis.units[..., None]  # column (n, w, b) starts in state n
     scales = _shaped(work.scales, half, 2, 1, n_states, cols)
-    _advance(units, first.reshape(8 * half, cols), trellis, 0, work, scales)
+    _advance(units, first.reshape(8 * half, cols), trellis, 0, work, scales, key="phase 1")
     rows = _shaped(work.window_rows, half + 1, 2, n_states, 2 * cols)
-    _window_starts(units, scales, low[0], tail, trellis,
+    _window_starts(units, scales, row0, tail, trellis,
                    rows[0].reshape(2, n_states, 2, windows, batch), work)
-    _advance(rows, table.reshape(8 * half, 2 * cols), trellis, 0, work)
-    # Row r holds alpha_r and beta_{T-r}: alpha_r from forward row r - 2hw -
-    # hc of half-window (w, c); beta_{T-r} from the last window's backward
-    # rows for r < tail, and from window W - 2 - (r - tail) // 2h on.  The
-    # rows of the W - 1 full windows are written through (W - 1, 2, h) views.
-    out = rows[:half].reshape(half, 2, n_states, 2, windows, batch).transpose(1, 4, 3, 0, 2, 5)
-    full = steps - tail
-    low[:full, 0].reshape(windows - 1, 2, half, n_states, batch)[...] = out[0, :-1]
-    low[full:full + half, 0] = out[0, -1, 0, :tail]
-    low[full + half:, 0] = out[0, -1, 1, :max(tail - half, 0)]
-    low[tail:, 1].reshape(windows - 1, 2, half, n_states, batch)[...] = out[1, -2::-1]
-    low[:min(tail, half), 1] = out[1, -1, 0, :tail]
-    low[half:tail, 1] = out[1, -1, 1, 2 * half - tail:half]
+    _advance(rows, table.reshape(8 * half, 2 * cols), trellis, 0, work, key="phase 2")
+    return rows
 
 
 def _window_starts(units, scales, row0, tail: int, trellis: RscTrellis, out,
@@ -669,11 +689,14 @@ def _window_starts(units, scales, row0, tail: int, trellis: RscTrellis, out,
     log_x[0, ..., 0] = row0[0].T
     log_x[1, :, rev, 0] = row0[1]  # bit reversal is its own inverse
     np.log(np.maximum(log_x, _TINY, out=log_x), out=log_x)
-    for a, shift, matrix, y, peak in zip(coef, right, chain, log_y, peaks):
+    links = work.kept(("chain", half, windows, batch, n_states), lambda: list(
+        zip(coef, right, peaks, [*chain[:-1], None], log_y)))  # the last output is not read
+    for a, shift, peak, matrix, y in links:
         np.add(log_x, shift, out=a)
-        a -= np.maximum.reduce(a, axis=-2, keepdims=True, out=peak)
+        np.subtract(a, np.maximum.reduce(a, axis=-2, keepdims=True, out=peak), out=a)
         np.exp(np.maximum(a, -WINDOW_FLOOR, out=a), out=a)
-        log_x = np.log(np.matmul(matrix, a, out=y), out=y)
+        if matrix is not None:
+            log_x = np.log(np.matmul(matrix, a, out=y), out=y)
     bounds = np.add(log_y[:-1], left, out=log_y[:-1])[..., 0]
     bound_sums = peaks[:-1, ..., 0]
     bounds -= np.maximum.reduce(bounds, axis=-1, keepdims=True, out=bound_sums)
@@ -708,13 +731,15 @@ def _beta_index(trellis: RscTrellis, steps: int) -> np.ndarray:
 
 def _extrinsic(alpha, rows, parity_factor, trellis: RscTrellis, out,
                work: _LogMapBuffers, merge=np.add) -> None:
-    """Extrinsic LLRs of L steps: log-ratio of the input-0 and input-1 merges.
+    """Extrinsic LLRs of L steps of a one-window pass: log-ratio of the input-0 and input-1 merges.
 
     The ``merge`` (sum, or maximum for max-log) for input x runs over
-    alpha_t(s) * parity factor * beta_{t+1}(s') of the transitions s -> s'
-    with input x; ``alpha`` is (L, S, B) over natural states, and ``rows``
-    (L, 2, S, B), C-contiguous, hold beta_{t+1} in row L - 1 - t
-    (``_beta_index``), so that the gather reads them in place.
+    alpha_t(s) * beta_{t+1}(s') * parity factor of the transitions s -> s'
+    with input x, multiplied in that order; ``alpha`` is (L, S, B) over
+    natural states, and ``rows`` (L, 2, S, B), C-contiguous, hold beta_{t+1}
+    in row L - 1 - t (``_beta_index``), so that the gather reads them in
+    place.  A windowed pass forms the same sums in its own layout
+    (``_windowed_extrinsic``).
     """
     n, _, n_states, batch = rows.shape
     paths = rows.reshape(2 * n * n_states, batch).take(
@@ -724,6 +749,100 @@ def _extrinsic(alpha, rows, parity_factor, trellis: RscTrellis, out,
     q = merge.reduce(paths, axis=2, out=work.sums[:n]).transpose(1, 0, 2)
     log_q = np.log(np.maximum(q, _TINY, out=q), out=q)
     np.subtract(log_q[0], log_q[1], out=out)
+
+
+@lru_cache(maxsize=32)
+def _window_paths(trellis: RscTrellis, steps: int, windows: int):
+    """(partner, time, step) gather indices of a windowed pass's extrinsic LLRs.
+
+    Position (k, c, w) of phase 2's half-window layout (``_windowed_rows``)
+    is step t = 2hw + hc + k, whose alpha is forward row k of half-window
+    (w, c).  ``partner`` (S, h, 2, W) is the row of beta_{t+1} over state
+    s, ``[s, k, c, w]``, in the rows viewed as (-1, B): backward row
+    h - 1 - k of half-window (w, 1 - c), read last first.  A last window
+    shorter than 2h runs back from T in its c = 0 half, whose rows give the
+    betas of its last h steps.  ``time`` (h, 2, W) is step t, and ``step``
+    (T,) the position of step t in the (h, 2, W) layout.  Positions past the
+    last step read step T - 1 and row 0; their LLRs are made and never
+    read.  Shared by every call, so read-only.
+    """
+    half, windows, tail, _ = _half_windows(steps, windows)
+    k, c, w = np.ix_(range(half), (0, 1), range(windows))
+    t = 2 * half * w + half * c + k  # (h, 2, W)
+    back = steps - 1 - t  # beta_{t+1} is beta_{T - back}
+    own = (w == windows - 1) & (back < half)
+    row = np.where(own, back, half - 1 - k).clip(0)
+    col = np.where(own, 0, 1 - c)
+    states = np.arange(trellis.n_states)[:, None, None, None]
+    partner = ((2 * row + 1) * trellis.n_states + states) * 2 * windows + col * windows + w
+    time = np.minimum(t, steps - 1)
+    step = np.empty(steps, dtype=np.intp)
+    inside = t < steps
+    step[t[inside]] = ((2 * k + c) * windows + w)[inside]
+    for index in (partner, time, step):
+        index.flags.writeable = False
+    return partner, time, step
+
+
+def _windowed_extrinsic(rows, parity_factor, trellis: RscTrellis, windows: int, out,
+                        work: _LogMapBuffers) -> None:
+    """Extrinsic LLRs ``out`` (T, B) of a windowed pass from phase 2's ``rows``.
+
+    The posterior sums of ``_extrinsic``, alpha_t(s) * beta_{t+1}(s') times
+    the parity factor, formed where phase 2 leaves its rows
+    (``_window_paths``), with the states as the leading axis of every
+    array: [x, s, k, c, w, b].  The betas of each position are gathered
+    once, over all S states, and spread to the two inputs by the trellis's
+    next states; the parity factors are gathered once per step and spread
+    by its parity bits.  The products and the order of the state sums
+    (``_state_sums``) are ``_extrinsic``'s, and only the T LLRs are written
+    in step order.  Every array is a view of one that phase 2 has spent.
+    """
+    n_rows, _, n_states, cols = rows.shape
+    steps, _, batch = parity_factor.shape
+    partner, time, step = _window_paths(trellis, steps, windows)
+    half, positions = time.shape[0], time.size
+    shape = (2, n_states, half * cols)
+    betas, alpha = work.carve("unit_rows", (*partner.shape, batch), (n_states, half, cols))
+    paths, factors = work.carve("gathered", shape, shape)
+    spread = _shaped(work.scales, 2, *time.shape, batch)
+    # rows as (-1, B), spelled out for B = 0
+    rows.reshape(n_rows * 2 * n_states * positions // half, batch).take(
+        partner, axis=0, out=betas, mode="clip")
+    betas.reshape(shape[1:]).take(trellis.next_reversed, axis=0, out=paths, mode="clip")
+    np.copyto(alpha, rows[:half, 0].swapaxes(0, 1))
+    paths *= alpha.reshape(shape[1:])
+    parity_factor.transpose(1, 0, 2).take(time, axis=1, out=spread, mode="clip")
+    spread.reshape(2, half * cols).take(trellis.parity, axis=0, out=factors, mode="clip")
+    paths *= factors
+    log_q = _state_sums(paths, batch, work)
+    np.log(np.maximum(log_q, _TINY, out=log_q), out=log_q)
+    np.subtract(log_q[0], log_q[1], out=log_q[0])
+    log_q[0].reshape(positions, batch).take(step, axis=0, out=out, mode="clip")
+
+
+def _state_sums(paths, batch: int, work: _LogMapBuffers):
+    """Sums (2, L) of ``paths`` (2, S, L) over the states, in ``_extrinsic``'s order.
+
+    There the states are the middle axis of (L, 2, S, B), which numpy sums in
+    sequence, except at B = 1, where they are the innermost: numpy sums an
+    innermost axis of n >= 8 as eight partial sums r_j of a_j, a_{j+8}, ...
+    and then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and a shorter
+    one in sequence.  The sums are a view of ``work.step_sums``, the pairs
+    and quadruples of that tree of ``work.window_branch``, both spent by
+    phase 2.  Folding overwrites ``paths``.
+    """
+    _, n_states, length = paths.shape
+    sums = _shaped(work.step_sums, 2, length)
+    if batch > 1 or n_states < 8:
+        return np.add.reduce(paths, axis=1, out=sums)
+    r = paths[:, :8]
+    for i in range(8, n_states, 8):
+        r += paths[:, i:i + 8]
+    pairs, quads = work.carve("window_branch", (2, 4, length), (2, 2, length))
+    np.add(r[:, 0::2], r[:, 1::2], out=pairs)
+    np.add(pairs[:, 0::2], pairs[:, 1::2], out=quads)
+    return np.add(quads[:, 0], quads[:, 1], out=sums)
 
 
 def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
@@ -764,8 +883,9 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
     # Row k holds alpha_k and beta_{T-k}; step t's posterior reads alpha from
     # row t and beta_{t+1} from row T-1-t.  In one window rows 0..T//2 are
     # kept, the later ones are made slab by slab and used at once with their
-    # partner rows; in more than one window all T rows are kept.
-    n_low = steps // 2 + 1 if windows == 1 else steps
+    # partner rows; in more than one window the rows stay in phase 2's
+    # half-window layout, where the posterior reads them.
+    n_low = steps // 2 + 1
     low = work.low[:n_low]
     low[0] = 0.0
     low[0, 0, 0] = 1.0
@@ -773,30 +893,30 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
         low[0, 1, 0] = 1.0  # state 0 is its own bit reversal
     else:
         low[0, 1] = 1.0 / n_states
-    if windows == 1:
+    if windows > 1:
+        rows = _windowed_rows(low[0], branch, trellis, windows, work)
+        _windowed_extrinsic(rows, parity_factor, trellis, windows, extrinsic, work)
+    else:
         for k0 in range(0, n_low - 1, SLAB):
             _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work,
                      merge=merge)
-    else:
-        _windowed_rows(low, branch, trellis, windows, work)
-
-    slab = work.paths.shape[0]
-    for t0 in range(steps - n_low, n_low, slab):  # steps whose two rows are both kept
-        t1 = min(t0 + slab, n_low)
-        _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0], parity_factor[t0:t1],
-                   trellis, extrinsic[t0:t1], work, merge)
-    buf = work.buf
-    buf[0] = low[-1]
-    for r0 in range(n_low, steps, SLAB):
-        r1 = min(r0 + SLAB, steps)
-        rows = buf[:r1 - r0 + 1]
-        _advance(rows, branch, trellis, r0 - 1, work, merge=merge)
-        partner = low[steps - r1:steps - r0]  # rows T-1-r, r from r1-1 down to r0
-        _extrinsic(rows[1:, 0], partner, parity_factor[r0:r1],
-                   trellis, extrinsic[r0:r1], work, merge)
-        _extrinsic(partner[:, 0], rows[1:], parity_factor[steps - r1:steps - r0],
-                   trellis, extrinsic[steps - r1:steps - r0], work, merge)
-        buf[0] = rows[-1]
+        slab = work.paths.shape[0]
+        for t0 in range(steps - n_low, n_low, slab):  # steps whose two rows are both kept
+            t1 = min(t0 + slab, n_low)
+            _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0], parity_factor[t0:t1],
+                       trellis, extrinsic[t0:t1], work, merge)
+        buf = work.buf
+        buf[0] = low[-1]
+        for r0 in range(n_low, steps, SLAB):
+            r1 = min(r0 + SLAB, steps)
+            rows = buf[:r1 - r0 + 1]
+            _advance(rows, branch, trellis, r0 - 1, work, merge=merge)
+            partner = low[steps - r1:steps - r0]  # rows T-1-r, r from r1-1 down to r0
+            _extrinsic(rows[1:, 0], partner, parity_factor[r0:r1],
+                       trellis, extrinsic[r0:r1], work, merge)
+            _extrinsic(partner[:, 0], rows[1:], parity_factor[steps - r1:steps - r0],
+                       trellis, extrinsic[steps - r1:steps - r0], work, merge)
+            buf[0] = rows[-1]
     posterior = np.add(l_sys, l_apriori)
     posterior += extrinsic.T
     return posterior

@@ -388,6 +388,30 @@ def test_one_pool_per_sweep_bounded_by_tasks_and_cpus(monkeypatch, spec, n_tasks
     assert wide == serial
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
+def test_an_affinity_mask_of_one_cpu_starts_no_pool(monkeypatch):
+    # os.cpu_count() counts the host's CPUs, not the ones this process may run
+    # on: pinned to one of two (taskset -c 0), --threads 2 runs serially, to
+    # the same bytes, and a mask of both CPUs starts a pool of two
+    spec, _ = _POOL_SPECS[0]
+    for name, size in [("UNCODED_CHUNK_BITS", 1024), ("CODED_CHUNK_BLOCKS", 16)]:
+        monkeypatch.setattr(sweeps_mod, name, size)
+    monkeypatch.setattr(sweeps_mod, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "max_workers", [])
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2 if name == "SC_NPROCESSORS_ONLN"
+                        else sysconf(name))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = render_csv(spec, run_sweep(spec))
+    pinned = render_csv(spec, run_sweep(dataclasses.replace(spec, threads=2)))
+    assert _InProcessPool.max_workers == []
+    assert pinned == serial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert render_csv(spec, run_sweep(dataclasses.replace(spec, threads=2))) == serial
+    assert _InProcessPool.max_workers == [2]
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # sweeps imports ProcessPoolExecutor when a sweep starts a pool, not before
     src = pathlib.Path(sweeps_mod.__file__).resolve().parents[1]

@@ -22,13 +22,16 @@ from qtsim.turbo import (
     TurboConfig,
     _advance,
     _beta_index,
+    _bit_factors,
     _butterfly_index,
+    _extrinsic,
     _half_windows,
     _log_map,
     _LogMapBuffers,
     _permutation,
     _trellis,
     _window_count,
+    _window_paths,
     coded_block_bits,
     interleave,
     split_llrs,
@@ -660,6 +663,104 @@ def test_windowed_log_map_edge_cases(steps, windows, half, tail, generators):
         with np.errstate(all="raise"):
             windowed = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=windows)
         np.testing.assert_allclose(windowed, one, rtol=1e-12, atol=1e-13)
+
+
+def _step_order_extrinsic(rows, parity_factor, trellis, windows, out, work):
+    """The windowed extrinsic as it was formed in step order: an oracle.
+
+    Phase 2's rows are scattered to T rows (T, 2, S, B), row r holding alpha_r
+    and beta_{T-r}, and read SLAB steps at a time by ``_extrinsic``, the
+    kernel of the one-window pass, over fresh work arrays.
+    """
+    steps, _, batch = parity_factor.shape
+    half, windows, tail, _ = _half_windows(steps, windows)
+    n_states = rows.shape[2]
+    low = np.full((steps, 2, n_states, batch), np.nan)
+    # alpha_r from forward row r - 2hw - hc of half-window (w, c); beta_{T-r}
+    # from the last window's backward rows for r < tail, and from window
+    # W - 2 - (r - tail) // 2h on
+    split = rows[:half].reshape(half, 2, n_states, 2, windows, batch).transpose(1, 4, 3, 0, 2, 5)
+    full = steps - tail
+    low[:full, 0].reshape(windows - 1, 2, half, n_states, batch)[...] = split[0, :-1]
+    low[full:full + half, 0] = split[0, -1, 0, :tail]
+    low[full + half:, 0] = split[0, -1, 1, :max(tail - half, 0)]
+    low[tail:, 1].reshape(windows - 1, 2, half, n_states, batch)[...] = split[1, -2::-1]
+    low[:min(tail, half), 1] = split[1, -1, 0, :tail]
+    low[half:tail, 1] = split[1, -1, 1, 2 * half - tail:half]
+    assert not np.isnan(low).any()
+    scratch = _LogMapBuffers(batch, steps, n_states, max_windows=1)
+    for t0 in range(0, steps, turbo_mod.SLAB):
+        t1 = min(t0 + turbo_mod.SLAB, steps)
+        _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0], parity_factor[t0:t1], trellis,
+                   out[t0:t1], scratch)
+
+
+@pytest.mark.parametrize("steps, windows", [
+    (40, 64), (41, 40), (43, 21), (65, 2), (1027, 3), (1024, 32), (1027, 32),
+])
+@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+@pytest.mark.parametrize("generators", _GENERATORS)
+def test_windowed_extrinsic_matches_the_step_order_oracle_bit_for_bit(
+        monkeypatch, steps, windows, batch, generators):
+    # the posterior is formed where phase 2 leaves its rows, with the
+    # products and the state-sum order of the step-order kernel: at B = 1
+    # numpy's pairwise order over an innermost axis, else the sequential one
+    trellis = RscTrellis(*generators)
+    rng = np.random.default_rng(steps * windows + batch)
+    l_sys, l_par, l_apriori = rng.normal(0.0, 3.0, size=(3, batch, steps))
+    for terminated in (True, False):
+        fast = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=windows)
+        with monkeypatch.context() as patch:
+            patch.setattr(turbo_mod, "_windowed_extrinsic", _step_order_extrinsic)
+            oracle = _log_map(l_sys, l_par, l_apriori, trellis, terminated, windows=windows)
+        assert fast.tobytes() == oracle.tobytes()
+    for index in _window_paths(trellis, steps, windows):
+        assert not index.flags.writeable
+
+
+def test_numpy_sums_the_states_in_the_orders_the_decoder_replays():
+    # _state_sums replays these orders for the windowed posterior; a numpy
+    # that changes either fails here first, not in a golden
+    rng = np.random.default_rng(83)
+
+    def tree(r):
+        return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+    def in_sequence(a):
+        total = a[0]
+        for term in a[1:]:
+            total = total + term
+        return total
+
+    paths = rng.random((1027, 2, 16, 1))  # (T, 2, S, B) at B = 1: S innermost
+    eight = np.moveaxis(paths[:, :, :8, 0], 2, 0)
+    assert np.add.reduce(paths[:, :, :8], axis=2)[..., 0].tobytes() == tree(eight).tobytes()
+    assert tree(eight).tobytes() != in_sequence(eight).tobytes()  # the orders differ
+    sixteen = np.moveaxis(paths[..., 0], 2, 0)
+    folded = tree(sixteen[:8] + sixteen[8:])  # r_j = a_j + a_{j+8}
+    assert np.add.reduce(paths, axis=2)[..., 0].tobytes() == folded.tobytes()
+    four = np.moveaxis(paths[:, :, :4, 0], 2, 0)  # fewer than 8: in sequence
+    assert np.add.reduce(paths[:, :, :4], axis=2)[..., 0].tobytes() == \
+        in_sequence(four).tobytes()
+    for batch in (2, 3, 4, 64):  # S a middle axis: in sequence
+        paths = rng.random((1027, 2, 8, batch))
+        assert np.add.reduce(paths, axis=2).tobytes() == \
+            in_sequence(np.moveaxis(paths, 2, 0)).tobytes()
+
+
+def test_bit_factors_are_exp_of_the_clipped_llrs_bit_for_bit():
+    # 1 for the likelier bit value, exp(-2|h|) for the other, h = llr / 2
+    # clipped to C: at signed zeros, at +-2C and just past, far past, at +-inf
+    bound = 2 * LOG_MAP_CLIP
+    values = [0.0, -0.0, bound, -bound, np.nextafter(bound, np.inf),
+              np.nextafter(-bound, -np.inf), 2 * bound, -2 * bound, 1e300, -1e300,
+              np.inf, -np.inf, 3.7, -3.7, 5e-324, -5e-324]
+    llr = np.array([values, values[::-1]])  # (B, T) with B = 2
+    out = np.empty((len(values), 2, 2))
+    with np.errstate(all="raise"):
+        _bit_factors(llr, out)
+    assert out[:, 0].tobytes() == np.exp(np.clip(llr.T, -bound, 0.0)).tobytes()
+    assert out[:, 1].tobytes() == np.exp(-np.clip(llr.T, 0.0, bound)).tobytes()
 
 
 def _pushed_transfers(branch, trellis):
