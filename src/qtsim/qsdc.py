@@ -15,9 +15,10 @@ Session flow (one attempt):
      times bit errors) and is judged by its Bloch component along it.
      ``teleport.teleport_frames`` runs this step, for teleport sweeps too.
 
-An attempt holds its decoy slots as one sorted index array.  A session
-retries an aborted attempt up to ``max_retries`` times and returns one
-report, from its last attempt.
+Each step takes the attempt's ``SessionState``, writes its results on it
+and returns it.  An attempt holds its decoy slots as one sorted index
+array.  A session retries an aborted attempt up to ``max_retries`` times
+and builds one report, from the state of its last attempt.
 
 Draw order.  Attempt a of session s draws from its own stream,
 ``default_rng(SeedSequence((seed, 0x5E55, s, a)))``, in this order:
@@ -51,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -163,6 +163,8 @@ class SessionState:
     virtual_positions: np.ndarray  # decoy slots, sorted on construction
     phase: str = "distributed"
     virtual_qber: float | None = None
+    payload_qber: float | None = None
+    classical_ber: float | None = None
     pair_trace: list[tuple] | None = field(default_factory=list)  # None: not recorded
 
     def __post_init__(self):
@@ -177,6 +179,11 @@ class SessionState:
             for phase, parity in zip(self.phase_bits.tolist(), self.parity_bits.tolist())
         )
 
+    @property
+    def decision(self) -> str | None:
+        """``None`` until the decoy check has run, then "accept" or "abort"."""
+        return {"verified": "accept", "completed": "accept", "aborted": "abort"}.get(self.phase)
+
     def require_phase(self, expected: str) -> None:
         if self.phase != expected:
             raise ProtocolError(f"expected phase {expected!r}, got {self.phase!r}")
@@ -187,8 +194,6 @@ class QsdcReport:
     virtual_qber: float
     decision: str
     payload_qber: float | None
-    eve_present_truth: bool
-    per_phase_timings: dict[str, float] = field(default_factory=dict)
     classical_ber: float | None = None
     attempts: int = 1
     pair_trace: tuple = ()  # (attempt, kind, position, bit_a, bit_b, ok) rows
@@ -243,11 +248,13 @@ def resolve_threshold(cfg: QsdcConfig) -> float:
     return threshold
 
 
-def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
-    """Measure the decoy pairs and decide accept vs abort.
+def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> SessionState:
+    """Measure the decoy pairs and decide accept vs abort; returns ``state``.
 
     The receiver measures first and reveals positions and results; the
     sender then measures their halves and counts non-opposite outcomes.
+    Their rate is ``state.virtual_qber``, and ``state.decision`` compares it
+    with the threshold.
     The receiver's outcomes are drawn only when the attempt accepts or
     records a trace: nothing reads an aborted attempt's rng again.
     """
@@ -258,9 +265,9 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
     # (|01>+|10>)/sqrt(2) requires, exactly where that bit is set.
     parity = state.parity_bits[positions]
     disagreements = len(positions) - int(np.count_nonzero(parity))
-    virtual_qber = disagreements / cfg.m_virtual
-    decision = "accept" if virtual_qber <= resolve_threshold(cfg) else "abort"
-    if decision == "accept" or state.pair_trace is not None:
+    state.virtual_qber = disagreements / cfg.m_virtual
+    accepted = state.virtual_qber <= resolve_threshold(cfg)
+    if accepted or state.pair_trace is not None:
         bob = rng.integers(0, 2, size=len(positions), dtype=np.int8)
     if state.pair_trace is not None:
         state.pair_trace.extend(
@@ -270,20 +277,17 @@ def verify_virtual(state: SessionState, cfg: QsdcConfig, rng) -> QsdcReport:
                 (parity != 0).astype(int).tolist(),
             )
         )
-    state.virtual_qber = virtual_qber
-    state.phase = "verified" if decision == "accept" else "aborted"
-    return QsdcReport(
-        virtual_qber=virtual_qber,
-        decision=decision,
-        payload_qber=None,
-        eve_present_truth=cfg.eve.mode != "none",
-    )
+    state.phase = "verified" if accepted else "aborted"
+    return state
 
 
 def teleport_payload(
     state: SessionState, payload: list[StateVector], cfg: QsdcConfig, rng
-) -> QsdcReport:
-    """Teleport payload qubits over verified pairs; bits ride the classical chain."""
+) -> SessionState:
+    """Teleport payload qubits over verified pairs; bits ride the classical chain.
+
+    Returns ``state``, its ``payload_qber`` and ``classical_ber`` set.
+    """
     if state.phase == "aborted":
         raise ProtocolError("aborted session cannot carry payload")
     state.require_phase("verified")
@@ -308,16 +312,10 @@ def teleport_payload(
             )
         )
 
-    payload_qber = int(np.count_nonzero(errors)) / len(payload) if payload else 0.0
-    classical_ber = float(np.mean(sent_bits != received)) if payload else 0.0
+    state.payload_qber = int(np.count_nonzero(errors)) / len(payload) if payload else 0.0
+    state.classical_ber = float(np.mean(sent_bits != received)) if payload else 0.0
     state.phase = "completed"
-    return QsdcReport(
-        virtual_qber=state.virtual_qber if state.virtual_qber is not None else 0.0,
-        decision="accept",
-        payload_qber=payload_qber,
-        eve_present_truth=cfg.eve.mode != "none",
-        classical_ber=classical_ber,
-    )
+    return state
 
 
 def geometric_threshold(
@@ -366,35 +364,25 @@ def run_session(
 ) -> QsdcReport:
     """One full session with up to ``max_retries`` restarts on abort.
 
-    With ``collect_trace`` the report carries one trace row per measured
-    pair: (attempt, kind, position, bit_a, bit_b, ok).
+    Each attempt passes one ``SessionState`` through the steps, and the
+    session's one report is built from the state of its last attempt.  With
+    ``collect_trace`` the report carries one trace row per measured pair:
+    (attempt, kind, position, bit_a, bit_b, ok).
     """
-    timings = dict.fromkeys(("distribute", "transmit", "verify"), 0.0)
     trace: list[tuple] = []
     for attempt in range(cfg.max_retries):
         rng = _attempt_rng(cfg.seed, session_id, attempt)
-        t0 = time.perf_counter()
         state = distribute_pairs(cfg, rng)
         if not collect_trace:
             state.pair_trace = None
-        t1 = time.perf_counter()
-        state = transmit_protected(state, cfg, rng)
-        t2 = time.perf_counter()
-        report = verify_virtual(state, cfg, rng)
-        t3 = time.perf_counter()
-        timings["distribute"] += t1 - t0
-        timings["transmit"] += t2 - t1
-        timings["verify"] += t3 - t2
-        accepted = report.decision == "accept"
-        if accepted and payload:
-            report = teleport_payload(state, payload, cfg, rng)
-            timings["payload"] = time.perf_counter() - t3
+        state = verify_virtual(transmit_protected(state, cfg, rng), cfg, rng)
+        if state.decision == "accept" and payload:
+            state = teleport_payload(state, payload, cfg, rng)
         if collect_trace:
             trace.extend((attempt,) + row for row in state.pair_trace)
-        if accepted:
+        if state.decision == "accept":
             break
     return QsdcReport(
-        report.virtual_qber, report.decision, report.payload_qber, report.eve_present_truth,
-        per_phase_timings=timings, classical_ber=report.classical_ber, attempts=attempt + 1,
-        pair_trace=tuple(trace),
+        state.virtual_qber, state.decision, state.payload_qber, state.classical_ber,
+        attempts=attempt + 1, pair_trace=tuple(trace),
     )

@@ -389,10 +389,9 @@ class _LogMapBuffers:
     the many small ones of a pass of few blocks would cost more call
     overhead than arithmetic.  A pass allocates nothing that grows with it
     but its posterior.
-    Every array is flat storage: the per-block arrays are viewed at the
-    batch of the current pass (``set_batch``), so a decode whose batch
-    shrinks keeps its arrays, and the windowed arrays are viewed by each
-    pass in its own shape.  The arrays serve passes of up to
+    Every array is flat, and ``carve`` is the one way a pass views one, in
+    its own shape with the batch last: so a decode whose batch shrinks
+    keeps its arrays.  The arrays serve passes of up to
     ``max_windows`` windows (by default the most the window rule gives
     these blocks), and one-window passes (max-log) in any of them.
 
@@ -421,22 +420,16 @@ class _LogMapBuffers:
         if max_windows is None:
             max_windows = _window_count(batch, max_steps, n_states)
         self.max_windows = max_windows
+        self.parity_factor = np.empty(2 * max_steps * batch)
+        self.branch = np.empty(4 * max_steps * batch)
+        self.extrinsic = np.empty(max_steps * batch)
         # the kept rows and the slab arrays of a one-window pass; a windowed
         # pass reads row 0 of ``low`` and lends the rest from the arrays below
-        self._shapes = {
-            "parity_factor": (max_steps, 2),
-            "branch": (max_steps, 2, 2),
-            "low": (max_steps // 2 + 1, 2, n_states),
-            "buf": (SLAB + 1, 2, n_states),
-            "extrinsic": (max_steps,),
-            "paths": (SLAB, 2, n_states),
-            "factors": (SLAB, 2, n_states),
-            "sums": (SLAB, 2),
-        }
-        self._storage = {name: np.empty(math.prod(shape) * batch)
-                         for name, shape in self._shapes.items()}
-        self.batch = None
-        self.set_batch(batch)
+        self.low = np.empty((max_steps // 2 + 1) * 2 * n_states * batch)
+        self.buf = np.empty((SLAB + 1) * 2 * n_states * batch)
+        self.paths = np.empty(SLAB * 2 * n_states * batch)
+        self.factors = np.empty(SLAB * 2 * n_states * batch)
+        self.sums = np.empty(SLAB * 2 * batch)
         self._views = {}
         # W windows of 2h steps, h = ceil(T / 2W), have (h + 1) W <= T/2 + 2W
         # rows per half; phase 2 runs twice as many columns as phase 1, and
@@ -478,13 +471,6 @@ class _LogMapBuffers:
             value = self._views[key] = make()
         return value
 
-    def set_batch(self, batch: int) -> None:
-        """View the per-block arrays, batch last, for passes of ``batch`` blocks."""
-        if batch != self.batch:
-            for name, shape in self._shapes.items():
-                setattr(self, name, _shaped(self._storage[name], *shape, batch))
-            self.batch = batch
-
 
 def _bit_factors(llr, out) -> None:
     """exp(+-h - |h|) for bit values 0 and 1 with h = llr / 2 clipped to C.
@@ -500,11 +486,6 @@ def _bit_factors(llr, out) -> None:
     llr.T.clip(0.0, bound, out=out[:, 1])
     np.negative(out[:, 1], out=out[:, 1])
     np.exp(out, out=out)
-
-
-def _shaped(flat, *shape):
-    """A C-contiguous ``shape`` view of the front of the flat buffer ``flat``."""
-    return flat[:math.prod(shape)].reshape(shape)
 
 
 @lru_cache(maxsize=32)
@@ -542,13 +523,13 @@ def _advance(rows, branch, trellis: RscTrellis, first_step: int, work: _LogMapBu
     n_rows, _, n_states, *cols = rows.shape
     batch = branch.shape[1]
     index = _butterfly_index(trellis, branch.shape[0] // 4)[first_step:first_step + n_rows - 1]
-    g = branch.take(index, axis=0, out=_shaped(work.gathered, *index.shape, batch),
-                    mode="clip")  # [k, i, d, o, j, b]
+    (g,) = work.carve("gathered", (*index.shape, batch))
+    branch.take(index, axis=0, out=g, mode="clip")  # [k, i, d, o, j, b]
     if scales is None:
-        scales = _shaped(work.step_sums, n_rows - 1, 2, 1, *cols)
+        (scales,) = work.carve("step_sums", (n_rows - 1, 2, 1, *cols))
     make = partial(_step_views, rows, g, scales)
     steps = make() if key is None else work.kept((key, rows.shape, batch), make)
-    prod = _shaped(work.products, 2, 2, 2, n_states // 2, *cols)
+    (prod,) = work.carve("products", (2, 2, 2, n_states // 2, *cols))
     prod_0, prod_1 = prod.reshape(2, 2, n_states, *cols)  # the merge writes rows
     multiply, divide, add_reduce = np.multiply, np.divide, np.add.reduce
     for g_k, x, nxt, total in steps:
@@ -616,11 +597,11 @@ def _windowed_rows(row0, branch, trellis: RscTrellis, windows: int, work: _LogMa
     branch.take(index, axis=0, out=table)
     np.copyto(first, table[:, :, 0])  # phase 1 runs the c = 0 half-windows
 
-    units = _shaped(work.unit_rows, half + 1, 2, n_states, n_states, cols)
+    (units,) = work.carve("unit_rows", (half + 1, 2, n_states, n_states, cols))
     units[0] = trellis.units[..., None]  # column (n, w, b) starts in state n
-    scales = _shaped(work.scales, half, 2, 1, n_states, cols)
+    (scales,) = work.carve("scales", (half, 2, 1, n_states, cols))
     _advance(units, first.reshape(8 * half, cols), trellis, 0, work, scales, key="phase 1")
-    rows = _shaped(work.window_rows, half + 1, 2, n_states, 2 * cols)
+    (rows,) = work.carve("window_rows", (half + 1, 2, n_states, 2 * cols))
     _window_starts(units, scales, row0, tail, trellis,
                    rows[0].reshape(2, n_states, 2, windows, batch), work)
     _advance(rows, table.reshape(8 * half, 2 * cols), trellis, 0, work, key="phase 2")
@@ -742,11 +723,14 @@ def _extrinsic(alpha, rows, parity_factor, trellis: RscTrellis, out,
     (``_windowed_extrinsic``).
     """
     n, _, n_states, batch = rows.shape
-    paths = rows.reshape(2 * n * n_states, batch).take(
-        _beta_index(trellis, n), axis=0, out=work.paths[:n], mode="clip")  # [t, x, s, b]
+    (paths,) = work.carve("paths", (n, 2, n_states, batch))
+    (factors,) = work.carve("factors", (n, 2, n_states, batch))
+    (sums,) = work.carve("sums", (n, 2, batch))
+    rows.reshape(2 * n * n_states, batch).take(
+        _beta_index(trellis, n), axis=0, out=paths, mode="clip")  # [t, x, s, b]
     paths *= alpha[:, None]
-    paths *= parity_factor.take(trellis.parity, axis=1, out=work.factors[:n], mode="clip")
-    q = merge.reduce(paths, axis=2, out=work.sums[:n]).transpose(1, 0, 2)
+    paths *= parity_factor.take(trellis.parity, axis=1, out=factors, mode="clip")
+    q = merge.reduce(paths, axis=2, out=sums).transpose(1, 0, 2)
     log_q = np.log(np.maximum(q, _TINY, out=q), out=q)
     np.subtract(log_q[0], log_q[1], out=out)
 
@@ -805,7 +789,7 @@ def _windowed_extrinsic(rows, parity_factor, trellis: RscTrellis, windows: int, 
     shape = (2, n_states, half * cols)
     betas, alpha = work.carve("unit_rows", (*partner.shape, batch), (n_states, half, cols))
     paths, factors = work.carve("gathered", shape, shape)
-    spread = _shaped(work.scales, 2, *time.shape, batch)
+    (spread,) = work.carve("scales", (2, *time.shape, batch))
     # rows as (-1, B), spelled out for B = 0
     rows.reshape(n_rows * 2 * n_states * positions // half, batch).take(
         partner, axis=0, out=betas, mode="clip")
@@ -833,7 +817,7 @@ def _state_sums(paths, batch: int, work: _LogMapBuffers):
     phase 2.  Folding overwrites ``paths``.
     """
     _, n_states, length = paths.shape
-    sums = _shaped(work.step_sums, 2, length)
+    (sums,) = work.carve("step_sums", (2, length))
     if batch > 1 or n_states < 8:
         return np.add.reduce(paths, axis=1, out=sums)
     r = paths[:, :8]
@@ -867,12 +851,12 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
         work = _LogMapBuffers(batch, steps, n_states, max_windows=windows)
     if windows > work.max_windows:
         raise ValueError(f"{windows} windows exceed the work arrays' {work.max_windows}")
-    work.set_batch(batch)
-    parity_factor = work.parity_factor[:steps]
-    extrinsic = work.extrinsic[:steps]  # holds L_sys + L_a until the posterior
+    (parity_factor,) = work.carve("parity_factor", (steps, 2, batch))
+    # holds L_sys + L_a until the posterior
+    (extrinsic,) = work.carve("extrinsic", (steps, batch))
     # branch[t, x, p] = input factor of x * parity factor of p; the input
     # factors are made in the p = 1 column and multiplied out in place.
-    branch = work.branch[:steps]
+    (branch,) = work.carve("branch", (steps, 2, 2, batch))
     _bit_factors(np.add(l_sys, l_apriori, out=extrinsic.T), branch[:, :, 1])
     _bit_factors(l_par, parity_factor)
     np.multiply(branch[:, :, 1], parity_factor[:, None, 0], out=branch[:, :, 0])
@@ -886,7 +870,7 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
     # partner rows; in more than one window the rows stay in phase 2's
     # half-window layout, where the posterior reads them.
     n_low = steps // 2 + 1
-    low = work.low[:n_low]
+    (low,) = work.carve("low", (n_low, 2, n_states, batch))
     low[0] = 0.0
     low[0, 0, 0] = 1.0
     if terminated:
@@ -900,12 +884,11 @@ def _log_map(l_sys, l_par, l_apriori, trellis: RscTrellis, terminated: bool,
         for k0 in range(0, n_low - 1, SLAB):
             _advance(low[k0:min(k0 + SLAB, n_low - 1) + 1], branch, trellis, k0, work,
                      merge=merge)
-        slab = work.paths.shape[0]
-        for t0 in range(steps - n_low, n_low, slab):  # steps whose two rows are both kept
-            t1 = min(t0 + slab, n_low)
+        for t0 in range(steps - n_low, n_low, SLAB):  # steps whose two rows are both kept
+            t1 = min(t0 + SLAB, n_low)
             _extrinsic(low[t0:t1, 0], low[steps - t1:steps - t0], parity_factor[t0:t1],
                        trellis, extrinsic[t0:t1], work, merge)
-        buf = work.buf
+        (buf,) = work.carve("buf", (SLAB + 1, 2, n_states, batch))
         buf[0] = low[-1]
         for r0 in range(n_low, steps, SLAB):
             r1 = min(r0 + SLAB, steps)

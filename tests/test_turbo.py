@@ -543,7 +543,7 @@ def test_batch_decode_does_not_depend_on_the_slab(monkeypatch, batch):
 
 def _work_bytes(work):
     """Bytes of the arrays a ``_LogMapBuffers`` owns (its views own none)."""
-    arrays = [*vars(work).values(), *work._storage.values()]
+    arrays = vars(work).values()
     return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
 
 
@@ -553,6 +553,45 @@ def test_log_map_working_set_budget():
     # 2,238,664 bytes they took with 64-step slabs
     assert _work_bytes(_LogMapBuffers(128, 1027, 8)) <= 17 * 2**20
     assert _work_bytes(_LogMapBuffers(1, 1027, 8)) <= 2_238_664
+
+
+def _arrays_in(value):
+    """The arrays in ``value``, an array or nested lists and tuples of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays_in(v)]
+    return []
+
+
+def test_a_shrinking_batch_views_the_work_arrays_it_was_built_with(monkeypatch):
+    # a 4 dB decode of 128 blocks, whose batch shrinks as blocks stop early:
+    # every pass views the flat arrays made at construction, one view per
+    # batch it runs at, so no pass allocates a work array
+    built, columns = [], []
+
+    class Recorded(_LogMapBuffers):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self, dict(vars(self))))
+
+    def spy(l_sys, *args, **kwargs):
+        columns.append(l_sys.shape[0])
+        return log_map(l_sys, *args, **kwargs)
+
+    log_map = turbo_mod._log_map
+    monkeypatch.setattr(turbo_mod, "_LogMapBuffers", Recorded)
+    monkeypatch.setattr(turbo_mod, "_log_map", spy)
+    turbo_decode_batch(_rician_corpus(4.0)[1], TurboConfig())
+    assert columns[0] == 128 and min(columns) < 128
+    ((work, made),) = built
+    flat = {name: a for name, a in vars(work).items() if isinstance(a, np.ndarray)}
+    assert flat.keys() == {name for name, a in made.items() if isinstance(a, np.ndarray)}
+    assert all(a is made[name] and a.base is None and a.ndim == 1 for name, a in flat.items())
+    views = _arrays_in(list(work._views.values()))
+    assert views and all(any(v.base is a for a in flat.values()) for v in views)
+    # carve keys are (name, shapes); the batch is the last axis of each view
+    assert {key[1][0][-1] for key in work._views if key[0] == "low"} == set(columns)
 
 
 def test_single_block_decode_matches_batch():
